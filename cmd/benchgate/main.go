@@ -60,6 +60,11 @@ type cellThresholds struct {
 	// core.Open's wall time (time-to-first-op, before any lazy per-segment
 	// work) must stay under the ceiling.
 	RecoveryOpenNSMax int64 `json:"recovery_open_ns_max"`
+	// RecoveryOpenPMWriteLinesMax, when > 0, also reopens the crash image
+	// and caps the PM cachelines core.Open writes: the deterministic
+	// counterpart of the wall-time ceiling (Open defers every per-bucket
+	// write — lock resets, marker clears — to first touch).
+	RecoveryOpenPMWriteLinesMax uint64 `json:"recovery_open_pm_write_lines_max,omitempty"`
 	// Service-cell thresholds (Config.Shards > 0). SvcFenceRatioMax is the
 	// ceiling on (batched PM fences per op) / (unbatched baseline fences
 	// per op) — strictly below 1 asserts batching actually amortizes
@@ -134,7 +139,7 @@ func runCell(cell gateCell) bool {
 	if cell.Config.Scale > 0 {
 		cfg.Model = pmem.ScaledOptane(cell.Config.Scale)
 	}
-	if cell.Thresholds.RecoveryOpenNSMax > 0 {
+	if cell.Thresholds.RecoveryOpenNSMax > 0 || cell.Thresholds.RecoveryOpenPMWriteLinesMax > 0 {
 		cfg.MeasureRecovery = true
 	}
 	fmt.Printf("benchgate[%s]: mix %s, %d threads, %d ops, keyspace %d, seed %d, scale %d\n",
@@ -163,6 +168,11 @@ func runCell(cell gateCell) bool {
 		check("crash open ns (first op)", float64(res.RecoveryOpenNS), float64(th.RecoveryOpenNSMax))
 		fmt.Printf("  info fully_recovered_ms=%.2f clean_open_ms=%.2f\n",
 			float64(res.RecoveryFullNS)/1e6, float64(res.RecoveryCleanOpenNS)/1e6)
+	}
+	if th.RecoveryOpenPMWriteLinesMax > 0 {
+		check("crash open PM write lines", float64(res.RecoveryOpenWriteLines), float64(th.RecoveryOpenPMWriteLinesMax))
+		fmt.Printf("  info open_pm_read_lines=%d recover_all_pm_read_lines=%d recover_all_pm_write_lines=%d\n",
+			res.RecoveryOpenReadLines, res.RecoveryAllReadLines, res.RecoveryAllWriteLines)
 	}
 	if th.LoadFactorMin > 0 {
 		status := "ok  "

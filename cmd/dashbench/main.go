@@ -134,6 +134,13 @@ type cellJSON struct {
 	RecoveryLogNS       int64 `json:"recovery_log_ns,omitempty"`
 	RecoveryMirrorsNS   int64 `json:"recovery_mirrors_ns,omitempty"`
 	RecoveryTotalNS     int64 `json:"recovery_total_ns,omitempty"`
+	// PM cachelines read and written by the crash-path core.Open and by
+	// the RecoverAll after it (schema v8): restart's deterministic
+	// currency, next to the noisy wall times above.
+	RecoveryOpenPMReadLines  uint64 `json:"recovery_open_pm_read_lines,omitempty"`
+	RecoveryOpenPMWriteLines uint64 `json:"recovery_open_pm_write_lines,omitempty"`
+	RecoveryAllPMReadLines   uint64 `json:"recovery_all_pm_read_lines,omitempty"`
+	RecoveryAllPMWriteLines  uint64 `json:"recovery_all_pm_write_lines,omitempty"`
 
 	// Service-tier fields (schema v7; zero/absent for classic single-table
 	// cells). A service cell sets Mix to the client-simulation name and
@@ -242,7 +249,7 @@ func main() {
 		fmt.Printf("dashbench: debug endpoint on http://%s (/metrics, /trace, /debug/pprof)\n", srv.Addr())
 	}
 
-	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 7}
+	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 8}
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
@@ -308,6 +315,9 @@ func main() {
 					float64(res.RecoveryTotalNS)/1e6, float64(res.RecoveryDirNS)/1e6,
 					float64(res.RecoverySegmentsNS)/1e6, float64(res.RecoveryLogNS)/1e6,
 					float64(res.RecoveryMirrorsNS)/1e6)
+				fmt.Printf("          ^ restart PM lines: open rd %d wr %d, recover-all rd %d wr %d\n",
+					res.RecoveryOpenReadLines, res.RecoveryOpenWriteLines,
+					res.RecoveryAllReadLines, res.RecoveryAllWriteLines)
 			}
 			outJSON.Results = append(outJSON.Results, toCell(res))
 		}
@@ -507,6 +517,11 @@ func toCell(r *bench.Result) cellJSON {
 		RecoveryLogNS:       r.RecoveryLogNS,
 		RecoveryMirrorsNS:   r.RecoveryMirrorsNS,
 		RecoveryTotalNS:     r.RecoveryTotalNS,
+
+		RecoveryOpenPMReadLines:  r.RecoveryOpenReadLines,
+		RecoveryOpenPMWriteLines: r.RecoveryOpenWriteLines,
+		RecoveryAllPMReadLines:   r.RecoveryAllReadLines,
+		RecoveryAllPMWriteLines:  r.RecoveryAllWriteLines,
 	}
 }
 

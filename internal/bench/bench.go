@@ -132,6 +132,14 @@ type Result struct {
 	RecoveryLogNS       int64
 	RecoveryMirrorsNS   int64
 
+	// PM cachelines the crash-path reopen read and wrote, for Open alone
+	// and for the RecoverAll that follows it — restart's deterministic
+	// currency, where the wall times above carry box noise.
+	RecoveryOpenReadLines  uint64
+	RecoveryOpenWriteLines uint64
+	RecoveryAllReadLines   uint64
+	RecoveryAllWriteLines  uint64
+
 	Counts Counts
 }
 
@@ -294,8 +302,10 @@ func Run(cfg Config) (*Result, error) {
 	// table is still open, so its clean marker is unset and Open must
 	// reconcile — splitting time-to-first-op (Open's O(directory) wall) from
 	// time-to-fully-recovered (Open plus a synchronous RecoverAll: every
-	// first-touch segment recovery and the record-log sweep). Then the table
-	// is closed and the clean-shutdown image reopened through its fast path.
+	// first-touch segment recovery and the record-log sweep). The crash
+	// reopen runs without the background recovery driver, so the PM lines
+	// counted for Open and for RecoverAll are exact. Then the table is
+	// closed and the clean-shutdown image reopened through its fast path.
 	if cfg.MeasureRecovery {
 		want := tb.Count()
 		crashImg := pool.Snapshot() // table still open: crash-path image
@@ -306,14 +316,19 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: recovery snapshot: %w", err)
 		}
+		s0 := rp.Stats()
 		start := time.Now()
-		rt, err := core.Open(rp)
+		rt, err := core.OpenWith(rp, core.Deps{NoBackgroundRecovery: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: crash reopen: %w", err)
 		}
 		res.RecoveryOpenNS = time.Since(start).Nanoseconds()
+		s1 := rp.Stats()
 		rt.RecoverAll()
 		res.RecoveryFullNS = time.Since(start).Nanoseconds()
+		openPM, allPM := s1.Sub(s0), rp.Stats().Sub(s1)
+		res.RecoveryOpenReadLines, res.RecoveryOpenWriteLines = openPM.ReadLines, openPM.WriteLines
+		res.RecoveryAllReadLines, res.RecoveryAllWriteLines = allPM.ReadLines, allPM.WriteLines
 		rs := rt.Stats()
 		rt.Close()
 		if rs.Count != want {

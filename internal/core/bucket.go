@@ -181,9 +181,10 @@ func unlockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
 // pmem/quiet.go). Each record's first store still pays for its record
 // line, as does every record-line dereference, and all flush/fence charges
 // are untouched, so per-op media traffic remains honestly counted.
-// (Recovery also calls some of these without holding locks; it is
-// single-threaded and unbenchmarked, so the accounting shortfall there is
-// irrelevant.)
+// Recovery calls some of these without holding locks, inside a segment's
+// exclusive first-touch gate (lazyrec.go); it follows the same rule, since
+// its one read pass charges every header and record line it then touches
+// quietly.
 
 // bucketFindLocked probes fingerprint-first: only slots whose one-byte
 // fingerprint matches are dereferenced, bounding PM reads per probe (§4.1).

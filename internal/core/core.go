@@ -22,14 +22,16 @@
 //	               segment addresses, local depths), consulted first by
 //	               every operation, kept fresh by write-through from splits
 //	               and doublings, validated against PM before any miss is
-//	               trusted, and rebuilt in O(directory) on Open.
+//	               trusted, and built on Open from the directory image
+//	               the restart reconcile already read.
 //	segfilter.go — the same selective-persistence pattern one layer down:
 //	               a DRAM mirror per segment (bucket bitmaps, fingerprints
 //	               and record words under a shadow seqlock) that serves
 //	               read probes without touching PM buckets at all, written
 //	               through by every locked mutator, self-checked against
-//	               PM on a hash sample, healed in place, and rebuilt from
-//	               the reconciled image on Open.
+//	               PM on a hash sample, healed in place, and filled at
+//	               each segment's first touch after Open from the same
+//	               one read that reconciles the segment (lazyrec.go).
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow with fingerprint tracking metadata.

@@ -38,8 +38,9 @@ import (
 // of a split being covered by the segment's bucket locks). A failed
 // validation falls back to the PM path via cacheRepair and retries.
 //
-// Open and Create build the cache with one O(directory) pass; nothing about
-// it is persisted.
+// Create builds the cache with one O(directory) pass over the PM directory;
+// Open installs it from the directory image its reconcile already read.
+// Nothing about it is persisted.
 type dirCache struct {
 	// view is an immutable-shape snapshot: the entries slice is fixed at
 	// 2^depth and only ever swapped wholesale (doubling, rebuild). Entry
@@ -89,16 +90,16 @@ func (c *dirCache) route(parts hashfn.Parts) (seg pmem.Addr, local uint8) {
 }
 
 // cacheRebuild reconstructs the whole view from the PM directory in one
-// O(directory) pass — the Open/Create path, and the recovery path for a view
-// that no longer matches the PM directory's shape. Single-threaded callers
-// (Create, recover) call it directly; concurrent callers must hold dirMu
-// so the swap cannot race a doubling.
+// O(directory) pass — the Create path, and the repair path for a view that
+// no longer matches the PM directory's shape. Single-threaded callers
+// (Create) call it directly; concurrent callers must hold dirMu so the swap
+// cannot race a doubling.
 func (t *Table) cacheRebuild() {
 	p := t.pool
 	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
 	depth := dirDepth(p, dir)
 	n := uint64(1) << depth
-	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Uint64, n)}
+	packed := make([]uint64, n)
 	depths := make(map[pmem.Addr]uint8)
 	for i := uint64(0); i < n; i++ {
 		seg := dirLoadEntry(p, dir, i)
@@ -107,7 +108,19 @@ func (t *Table) cacheRebuild() {
 			l = segDepth(p, seg)
 			depths[seg] = l
 		}
-		v.entries[i].Store(packEntry(seg, l))
+		packed[i] = packEntry(seg, l)
+	}
+	t.cacheInstall(dir, depth, packed)
+}
+
+// cacheInstall swaps in a view of directory block dir at depth built from
+// packed entry words (packEntry). Open calls it with the image its
+// reconcile already read and fixed, so the cache costs no second pass over
+// the PM directory and segment headers.
+func (t *Table) cacheInstall(dir pmem.Addr, depth uint8, packed []uint64) {
+	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Uint64, len(packed))}
+	for i, e := range packed {
+		v.entries[i].Store(e)
 	}
 	t.cache.view.Store(v)
 	t.cache.rebuilds.Inc()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,22 +12,28 @@ import (
 	"dash/internal/pmem"
 )
 
-// Lazy per-segment recovery (§4.6): Open does only the O(directory) work —
-// entry claims, segment metadata fixes, lock resets, chunk-chain validation,
-// dirCache rebuild — and defers everything O(data) to first touch. Every
-// directory-reachable segment starts "unrecovered" in a DRAM side table; the
-// first operation routed to it wins a CAS gate (the split-claim idiom) and
-// runs the per-segment reconcile — misroute/duplicate/ghost sweeps, count
-// re-derivation, filter-mirror install — while losers spin the winner out.
-// The record-log sweep runs as an incremental background pass once every
-// segment has recovered (it needs the complete reference set), free-listing
-// dead blobs in small batches under epoch guards.
+// Lazy per-segment recovery (§4.6): Open reads the directory block once and
+// one header line per segment, fixes directory claims and segment metadata,
+// and defers everything per bucket to first touch. Every directory-reachable
+// segment starts "unrecovered" in a DRAM side table; the first operation
+// routed to it wins a CAS gate (the split-claim idiom) and runs the
+// per-segment reconcile while losers spin the winner out. The reconcile
+// clears held version locks and a leftover split marker, then reads each
+// bucket once — one streaming read of its header line and used record
+// lines — and decides everything from that read: misroute and duplicate
+// drops, the record count, the segment's blob references and its filter
+// mirror. The rare drops and the stash-ghost sweep are applied afterwards,
+// refilling only the mirror buckets they change. The record-log sweep runs
+// as an incremental background pass once every segment has recovered (it
+// needs the complete reference set), free-listing dead blobs in small
+// batches under epoch guards.
 //
 // After a *clean* shutdown (Close persisted the root's clean marker) the
-// per-segment sweeps and the count derivation are skipped entirely — the
-// image is reconciled by construction — but first touch still installs the
-// segment's mirror and contributes its blob references, and the background
-// pass still runs to rebuild the record log's DRAM free list.
+// drops and the count derivation are skipped — the image is reconciled by
+// construction — but first touch still clears locks the crash model left
+// odd, installs the segment's mirror and contributes its blob references,
+// and the background pass still runs to rebuild the record log's DRAM free
+// list.
 
 const (
 	segRecPending uint32 = iota
@@ -34,10 +41,15 @@ const (
 	segRecDone
 )
 
-// segRecoverState is one segment's first-touch gate. Pointer-stable: the
-// pending map is built once in Open and read-only afterwards.
+// segRecoverState is one segment's first-touch gate plus what Open learned
+// from its header line: the reconciled (depth, pattern) claim for the
+// mirror, and whether a split-progress marker needs clearing. Pointer-
+// stable: the pending map is built once in Open and read-only afterwards.
 type segRecoverState struct {
 	state atomic.Uint32
+	l     uint8
+	pat   uint64
+	split bool
 }
 
 // lazyRecovery is the DRAM side table describing what Open deferred. The
@@ -96,7 +108,7 @@ func (t *Table) ensureRecovered(seg pmem.Addr) {
 // is deadlock-free — the same shape as split's claim).
 func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) {
 	if s.state.CompareAndSwap(segRecPending, segRecInFlight) {
-		t.recoverSegment(lr, seg)
+		t.recoverSegment(lr, s, seg)
 		s.state.Store(segRecDone)
 		lr.remaining.Add(-1)
 		return
@@ -108,32 +120,81 @@ func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) 
 
 // recoverSegment runs the deferred per-segment work under the caller's
 // exclusive gate: no operation can touch the segment's buckets until the
-// gate releases, so the sweeps run single-threaded exactly as they did in
-// eager recovery. A segment cannot split before it recovers (every mutator
-// gates first), so lr.fixed/lr.g still describe its coverage.
-func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
+// gate releases, so the pass runs single-threaded exactly as eager recovery
+// did. A segment cannot split before it recovers (every mutator gates
+// first), so lr.fixed/lr.g still describe its coverage.
+//
+// PM is read once: one streaming read per bucket of its header line (lock
+// word, meta and fingerprints) and its used record lines — the lines
+// split's scans charge for the same bucket. A lock word is written only
+// when a crash left it odd. The mirror is filled from that read; on the
+// crash path the same read decides the drops, which are applied afterwards
+// (with the stash-ghost sweep) before the buckets they touched are
+// refilled.
+func (t *Table) recoverSegment(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) {
 	p := t.pool
 	start := obs.Now()
+	// Clear any split-progress marker, finishing or rolling back the
+	// half-migrated split it describes. If the marker's sibling made it
+	// into the directory, Open's claiming pass already completed the flips
+	// and metadata and the misroute drops below remove the moved records'
+	// leftovers — the split rolls forward. Otherwise the sibling was never
+	// published: the directory still routes every key to this segment
+	// (which kept all its records; migration only reads), so the marker
+	// clear rolls the split back and the sibling block is leaked.
+	if s.split {
+		p.StoreU64(seg.Add(segOffSplit), 0)
+		p.Persist(seg.Add(segOffSplit), 8)
+	}
+	mir := t.mirrorInstall(seg, s.l, s.pat)
+	var sc *segScan
 	if !lr.clean {
-		segSweep(p, seg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
-			return lr.fixed[rp.DirIndex(lr.g)] != seg
-		})
-		t.dedupeSegment(seg)
-		t.sweepStashGhosts(seg)
-		t.count.Add(int64(segCount(p, seg)))
+		sc = segScanPool.Get().(*segScan)
+		sc.reset()
+	}
+	for bi := 0; bi < totalBuckets; bi++ {
+		ba := segBucket(seg, bi)
+		// One streaming read: header line plus the used record lines.
+		p.TouchRead(ba, bucketScanEnd(p.QuietLoadU64(ba.Add(bkOffMeta))))
+		// Version locks are DRAM-meaning state that is never flushed, but a
+		// header persist issued while the lock was held leaves it odd in
+		// the image. Reset it before anything can spin on it.
+		if v := p.QuietLoadU64(ba.Add(bkOffVersion)); v&1 != 0 {
+			p.StoreU64(ba.Add(bkOffVersion), 0)
+		}
+		mirrorCopyBucket(p, mir, seg, bi)
+		if sc != nil {
+			t.scanBucket(lr, sc, mir, seg, bi)
+		}
+	}
+	if sc != nil {
+		var touched [totalBuckets]bool
+		for _, d := range sc.drops {
+			loc := recLoc{bucket: d.bucket, slot: d.slot, tracked: -1}
+			touched[d.bucket] = true
+			if loc.inStash() {
+				home := int(d.parts.BucketIndex(bucketBits))
+				loc.tracked = findTrackedSlot(p, segBucket(seg, home), d.parts.FP, d.bucket-normalBuckets)
+				touched[home] = true
+			}
+			segDeleteAt(p, nil, seg, d.parts, loc, false, true)
+		}
+		segScanPool.Put(sc)
+		t.sweepStashGhosts(seg, &touched)
+		for bi, ok := range touched {
+			if ok {
+				mirrorCopyBucket(p, mir, seg, bi)
+			}
+		}
 	}
 	segDone := obs.Now()
 
-	// Mirror install + blob-reference capture in one streaming pass over the
-	// reconciled buckets. The whole segment is charged as one sequential
-	// read; the per-word loads inside mirrorFillBucket are quiet.
-	mir := t.mirrorInstall(seg, segDepth(p, seg), segPattern(p, seg))
+	// Count and blob references come from the finished mirror: pure DRAM.
 	var refs []pmem.Addr
+	n := 0
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		p.TouchRead(ba, pmem.CachelineSize) // header line
-		mirrorFillBucket(p, mir, seg, bi)
 		m := mir.word(bi, mirBkMeta).Load()
+		n += bits.OnesCount64(m & slotMask)
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue
@@ -142,6 +203,9 @@ func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
 				refs = append(refs, recBlobAddr(w0))
 			}
 		}
+	}
+	if !lr.clean {
+		t.count.Add(int64(n))
 	}
 	if len(refs) > 0 {
 		lr.refMu.Lock()
@@ -153,13 +217,108 @@ func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
 	end := obs.Now()
 
 	// Phase meters accumulate across first touches (the lazy analogue of the
-	// eager one-shot phases); the per-segment latency histogram is what the
-	// tail pays at first touch.
+	// eager one-shot phases): segments is the read pass with its drops,
+	// mirrors the DRAM count/reference capture. The per-segment latency
+	// histogram is what the tail pays at first touch.
 	t.met.recoveryNS[phaseSegments].Add(segDone - start)
 	t.met.recoveryNS[phaseMirrors].Add(end - segDone)
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
+}
+
+// segScan is the crash-path scratch of one first touch: the records kept so
+// far in scan order (normal buckets ascending, then stash; slots ascending
+// — the order the eager sweeps kept), an open-addressed index from full
+// hash to the first kept record carrying it, and the drops decided. Every
+// record already holds its full 64-bit hash (recSplitParts), so duplicates
+// are found by hash and blobs are dereferenced only when two records share
+// one. Pooled: a first touch allocates nothing steady-state.
+type segScan struct {
+	first [scanSlots]int16 // 1 + index into recs of the slot's first record; 0 = empty
+	recs  []scanRec
+	drops []scanDrop
+}
+
+// scanSlots sizes the index at over twice a segment's record capacity, so
+// linear probing stays short.
+const scanSlots = 1 << 11
+
+type scanRec struct{ hash, w0 uint64 }
+
+type scanDrop struct {
+	bucket, slot int
+	parts        hashfn.Parts
+}
+
+var segScanPool = sync.Pool{New: func() any {
+	return &segScan{recs: make([]scanRec, 0, slotsPerSegment)}
+}}
+
+func (sc *segScan) reset() {
+	sc.first = [scanSlots]int16{}
+	sc.recs = sc.recs[:0]
+	sc.drops = sc.drops[:0]
+}
+
+// scanBucket classifies one bucket's records from the words just copied
+// into the mirror: a record the reconciled directory routes to another
+// segment is a misroute (the leftover of a split that rolled forward), and
+// a record whose canonical key an earlier record already holds is a
+// duplicate (an interrupted displacement copies a record verbatim; an
+// interrupted representation-converting update leaves the key once inline
+// and once as a blob pointer).
+func (t *Table) scanBucket(lr *lazyRecovery, sc *segScan, mir *segMirror, seg pmem.Addr, bi int) {
+	m := mir.word(bi, mirBkMeta).Load()
+	for slot := 0; slot < slotsPerBucket; slot++ {
+		if !metaSlotUsed(m, slot) {
+			continue
+		}
+		kv := pmem.KV{Key: mir.recWord(bi, slot, 0).Load(), Value: mir.recWord(bi, slot, 1).Load()}
+		parts := recSplitParts(kv, t.seed)
+		if lr.fixed[parts.DirIndex(lr.g)] != seg || t.scanDuplicate(sc, parts.Hash, kv.Key) {
+			sc.drops = append(sc.drops, scanDrop{bucket: bi, slot: slot, parts: parts})
+		}
+	}
+}
+
+// scanDuplicate reports whether a kept record already holds the canonical
+// key of the record (hash, w0), and keeps the record otherwise.
+func (t *Table) scanDuplicate(sc *segScan, hash, w0 uint64) bool {
+	i := (hash * 0x9E3779B97F4A7C15) >> (64 - 11) // a slot of scanSlots
+	for ; sc.first[i] != 0; i = (i + 1) & (scanSlots - 1) {
+		if first := sc.first[i] - 1; sc.recs[first].hash == hash {
+			// Rare: compare keys with every kept record of this hash.
+			for _, r := range sc.recs[first:] {
+				if r.hash == hash && t.sameKey(r.w0, w0) {
+					return true
+				}
+			}
+			sc.recs = append(sc.recs, scanRec{hash, w0})
+			return false
+		}
+	}
+	sc.first[i] = int16(len(sc.recs)) + 1
+	sc.recs = append(sc.recs, scanRec{hash, w0})
+	return false
+}
+
+// sameKey compares the canonical keys of two records with equal full
+// hashes: identical word 0 is the same record (an inline key, or one blob),
+// two distinct inline keys differ, and otherwise the blob keys are read —
+// the one place recovery dereferences blobs.
+func (t *Table) sameKey(a, b uint64) bool {
+	switch ia, ib := recIsIndirect(a), recIsIndirect(b); {
+	case a == b:
+		return true
+	case !ia && !ib:
+		return false
+	case !ia:
+		return t.vlog.KeyEqualsU64(recBlobAddr(b), a)
+	case !ib:
+		return t.vlog.KeyEqualsU64(recBlobAddr(a), b)
+	}
+	return t.vlog.KeyEquals(recBlobAddr(b), t.vlog.KeyBytes(recBlobAddr(a)))
 }
 
 // RecoverAll completes recovery synchronously: recovers every still-pending

@@ -58,9 +58,10 @@ import (
 //     fine, the mirror itself must be stale and is repaired in place
 //     (mirrorRepair, the cacheRepair of this layer);
 //   - Create installs mirrors segment by segment; Open installs none — each
-//     segment's mirror is built at its first-touch recovery (lazyrec.go),
-//     one streaming read per segment off the restart critical path, and the
-//     nil-means-bypass fallback below covers the window in between;
+//     segment's mirror is filled at its first-touch recovery (lazyrec.go)
+//     from the same one read per bucket that decides the recovery drops,
+//     off the restart critical path, and the nil-means-bypass fallback
+//     below covers the window in between;
 //   - a hash-sampled cross-check (mirrorMaybeCheck) compares the home
 //     bucket's mirror against PM on ~1/1024 of mirror-served reads, so
 //     even a divergence with no detectable symptom (a poisoned bitmap
@@ -160,16 +161,21 @@ func (t *Table) mirrorDrop(seg pmem.Addr) {
 }
 
 // mirrorFillBucket copies one bucket's PM words into the mirror. The
-// caller owns the bucket (its PM lock, or single-threaded recovery) and
-// has charged the bucket's header line; record lines are charged here as
-// one streaming read up to the highest used slot, like every bucket scan.
+// caller holds the bucket's PM lock, whose acquisition charged the header
+// line; record lines are charged here as one streaming read up to the
+// highest used slot, like every bucket scan.
 func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
+	touchRecordLines(p, segBucket(seg, bi), mirrorCopyBucket(p, mir, seg, bi))
+}
+
+// mirrorCopyBucket is mirrorFillBucket's quiet copy, for a caller that
+// already charged every line it reads; it returns the bucket's meta word.
+func mirrorCopyBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) uint64 {
 	ba := segBucket(seg, bi)
 	m := p.QuietLoadU64(ba.Add(bkOffMeta))
 	mir.word(bi, mirBkMeta).Store(m)
 	mir.word(bi, mirBkFPLo).Store(p.QuietLoadU64(ba.Add(bkOffFPLo)))
 	mir.word(bi, mirBkFPHi).Store(p.QuietLoadU64(ba.Add(bkOffFPHi)))
-	touchRecordLines(p, ba, m)
 	for slot := 0; slot < slotsPerBucket; slot++ {
 		if !metaSlotUsed(m, slot) {
 			mir.recWord(bi, slot, 0).Store(0)
@@ -180,6 +186,7 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 		mir.recWord(bi, slot, 0).Store(p.QuietLoadU64(ra))
 		mir.recWord(bi, slot, 1).Store(p.QuietLoadU64(ra.Add(8)))
 	}
+	return m
 }
 
 // mirrorRepair reconciles seg's mirror with PM truth in place, bucket by

@@ -36,9 +36,9 @@ const (
 // flight. The low bit set means a split owns this segment; the remaining
 // bits hold the sibling segment's (256-aligned) address once it has been
 // allocated, or zero while the claim is still being set up. Recovery reads
-// the marker to finish or roll back a half-migrated split (see
-// Table.recover) and clears it, so — like the bucket version locks — the
-// word never survives a restart.
+// the marker to finish or roll back a half-migrated split and clears it at
+// the segment's first touch (lazyrec.go), so — like the bucket version
+// locks — the word never survives into a recovered segment.
 const splitStateInFlight = 1
 
 func segSplitState(p *pmem.Pool, seg pmem.Addr) uint64 {
@@ -65,12 +65,20 @@ func segBucket(seg pmem.Addr, i int) pmem.Addr {
 // caller's lock acquisition or version load). Slots are allocated
 // lowest-first, so only lines up to the highest used slot are charged.
 func touchRecordLines(p *pmem.Pool, ba pmem.Addr, m uint64) {
+	if end := bucketScanEnd(m); end > pmem.CachelineSize {
+		p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
+	}
+}
+
+// bucketScanEnd is the byte extent a full scan of a bucket with meta word
+// m streams: the header line (which also holds records 0 and 1) plus every
+// record line up to the highest used slot.
+func bucketScanEnd(m uint64) uint64 {
 	last := bits.Len64(m&slotMask) - 1 // highest used slot, -1 when empty
 	if last < 2 {
-		return // records 0 and 1 live in the header's cacheline
+		return pmem.CachelineSize
 	}
-	end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
-	p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
+	return uint64(bkOffRecords + (last+1)*pmem.RecordSize)
 }
 
 func segDepth(p *pmem.Pool, seg pmem.Addr) uint8 {
@@ -354,37 +362,6 @@ func segSearchOpt(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (p
 	return pmem.KV{}, false
 }
 
-// segSweep deletes every record for which drop returns true, fixing stash
-// tracking metadata as it goes. The caller owns every bucket of the segment
-// (split cleanup holds all locks; recovery is single-threaded). Returns the
-// number of records removed.
-func segSweep(p *pmem.Pool, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool) int {
-	removed := 0
-	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		m := p.LoadU64(ba.Add(bkOffMeta))
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
-			kv := p.ReadKV(recordAddr(ba, slot))
-			parts := recSplitParts(kv, seed)
-			if !drop(parts, kv) {
-				continue
-			}
-			loc := recLoc{bucket: bi, slot: slot, tracked: -1}
-			if loc.inStash() {
-				home := segBucket(seg, int(parts.BucketIndex(bucketBits)))
-				loc.tracked = findTrackedSlot(p, home, parts.FP, bi-normalBuckets)
-			}
-			// Recovery-only path: mirrors are rebuilt wholesale afterwards.
-			segDeleteAt(p, nil, seg, parts, loc, false, true)
-			removed++
-		}
-	}
-	return removed
-}
-
 // segSweepBatched removes every record for which drop returns true with one
 // header store + flush per *bucket* instead of per record, plus a single
 // fence at the end — the persist-batched sweep the split publish runs while
@@ -399,9 +376,9 @@ func segSweep(p *pmem.Pool, seg pmem.Addr, seed uint64, drop func(parts hashfn.P
 // Only normal buckets may be marked known — stash drops need each record's
 // hash to fix its home bucket's overflow tracking.
 //
-// Unlike segSweep the drop decision is computed for all records first and
-// applied per meta word, so drop must not depend on sweep order (the split
-// publish's depth-bit predicate does not).
+// The drop decision is computed for all records first and applied per meta
+// word, so drop must not depend on sweep order (the split publish's
+// depth-bit predicate does not).
 func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64, knownValid []bool, hookMidSweep func()) int {
 	var metas [totalBuckets]uint64 // stack-sized: the sweep allocates nothing
 	var dirty [totalBuckets]bool
@@ -472,13 +449,4 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 	}
 	p.Fence()
 	return removed
-}
-
-// segCount returns the number of live records (allocation bitmap popcount).
-func segCount(p *pmem.Pool, seg pmem.Addr) int {
-	n := 0
-	for bi := 0; bi < totalBuckets; bi++ {
-		n += slotsPerBucket - bucketFreeSlots(p, segBucket(seg, bi))
-	}
-	return n
 }

@@ -277,14 +277,18 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 }
 
 // Open revives the table stored in pool with O(directory) work up front
-// (§4.6 instant restart): directory reconciliation, segment metadata and
-// lock-word fixes, dirCache rebuild. Everything O(data) — duplicate/ghost
-// sweeps, count re-derivation, filter-mirror installs — is deferred to each
-// segment's first touch (lazyrec.go), and the record-log sweep runs as an
-// incremental background pass. After a clean shutdown (Close persisted the
-// root's clean marker) even the deferred sweeps are skipped: first touch
-// only installs the segment's DRAM mirror. Call RecoverAll to force the
-// deferred work to complete synchronously.
+// (§4.6 instant restart): one streaming read of the directory block, one
+// header line per segment, and the directory-claim and segment-metadata
+// fixes; the DRAM directory cache is built from that reconciled image.
+// Everything else is deferred to each segment's first touch (lazyrec.go),
+// which clears held version locks and a leftover split marker, then runs
+// one pass over the segment's buckets — misroute and duplicate drops, the
+// stash-ghost sweep and the record count on the crash path, the filter
+// mirror and blob references on both paths. The record-log sweep runs as
+// an incremental background pass. After a clean shutdown (Close persisted
+// the root's clean marker) the count comes from the root and first touch
+// skips the drops. Call RecoverAll to force the deferred work to complete
+// synchronously.
 func Open(pool *pmem.Pool) (*Table, error) {
 	return OpenWith(pool, Deps{})
 }
@@ -293,21 +297,23 @@ func Open(pool *pmem.Pool) (*Table, error) {
 // injected dependencies; see Deps.
 func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	p := pool
-	if p.ReadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
+	// The root words share one cacheline: one charged read, quiet loads.
+	p.TouchRead(rootAddr, pmem.CachelineSize)
+	if p.QuietReadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
 		return nil, ErrNotATable
 	}
-	if f := p.ReadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
+	if f := p.QuietReadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
 		return nil, fmt.Errorf("core: unsupported table format %d (want %d)", f, tableFormat)
 	}
 	t := &Table{
 		pool:             p,
 		em:               deps.resolveEpoch(),
-		seed:             p.ReadU64(rootAddr.Add(rootOffSeed)),
+		seed:             p.QuietReadU64(rootAddr.Add(rootOffSeed)),
 		mirrorSampleMask: mirrorSamplePeriod - 1,
 	}
 	t.vlog = pmem.NewVarLog(p, rootAddr.Add(rootOffVarLog), 0, t.alloc)
 	t.initObs()
-	clean := p.ReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
+	clean := p.QuietReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.
 	p.WriteU64(rootAddr.Add(rootOffClean), 0)
@@ -978,7 +984,8 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 	// We own the split. Between the failed insert that brought us here and
 	// the claim, a finished split may have relocated the key range or made
 	// room; re-check cheaply and release the claim if so. The claim value
-	// is transient (never persisted): recovery clears markers wholesale.
+	// is transient (never persisted): recovery clears leftover markers at
+	// each segment's first touch.
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
 	if _, seg := t.resolve(parts); seg != oldSeg ||
@@ -1481,50 +1488,59 @@ func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 	return ok
 }
 
-// recoverLazy reconciles the table image with O(directory) work only. The
-// directory is the source of truth: every segment's true coverage — and from
-// it, its local depth and pattern — is re-derived by letting deeper segments
-// claim their canonical entry ranges first. This completes a partially
-// published split (the new segment was fully durable before the first entry
-// flip) and rolls an unpublished one back to a harmless leak; version locks
-// are reset and split markers cleared in the same per-segment pass (a small
-// constant per segment, so still O(directory)). The O(data) work — record
-// sweeps, dedupe, count derivation, mirror installs, the record-log sweep —
-// is deferred: recoverLazy builds the lazyRecovery side table and returns.
-// After a clean shutdown the image needs none of that reconciliation (the
-// passes are cheap no-ops, run anyway for their validation) and the count
+// recoverLazy reconciles the table image with O(directory) work only: one
+// streaming read of the directory block and one header line per segment.
+// The directory is the source of truth: every segment's true coverage — and
+// from it, its local depth and pattern — is re-derived by letting deeper
+// segments claim their canonical entry ranges first. This completes a
+// partially published split (the new segment was fully durable before the
+// first entry flip) and rolls an unpublished one back to a harmless leak.
+// The reconciled image then becomes the DRAM directory cache directly, and
+// each segment's reconciled (depth, pattern) and split-marker state go to
+// its first-touch gate. Everything per bucket — held version locks, the
+// split-marker clear, record drops, count derivation, mirror installs — and
+// the record-log sweep are deferred: recoverLazy builds the lazyRecovery
+// side table and returns. After a clean shutdown the claim and metadata
+// passes are cheap no-ops, run anyway for their validation, and the count
 // comes straight from the root.
 func (t *Table) recoverLazy(clean bool) error {
 	p := t.pool
 	rstart := obs.Now()
-	dir := pmem.Addr(p.ReadU64(rootAddr.Add(rootOffDir)))
+	// Root line charged by OpenWith.
+	dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
 	if dir.IsNull() {
 		return ErrNotATable
 	}
-	g := dirDepth(p, dir)
+	g := uint8(p.QuietLoadU64(dir.Add(dirOffDepth)))
 	n := uint64(1) << g
+	p.TouchRead(dir, dirSize(g)) // the whole block, one streaming read
 
 	type segInfo struct {
-		addr pmem.Addr
-		l    uint8
-		pat  uint64
+		addr  pmem.Addr
+		l     uint8
+		pat   uint64
+		split bool
 	}
 	entries := make([]pmem.Addr, n)
 	var segs []segInfo
 	seen := make(map[pmem.Addr]bool)
 	for i := uint64(0); i < n; i++ {
-		e := dirLoadEntry(p, dir, i)
+		e := pmem.Addr(p.QuietLoadU64(dirEntryAddr(dir, i)))
 		entries[i] = e
 		if e.IsNull() {
 			return fmt.Errorf("core: recovery: null directory entry %d", i)
 		}
 		if !seen[e] {
 			seen[e] = true
-			l, pat := segDepth(p, e), segPattern(p, e)
+			// Depth, pattern and split marker share the header line.
+			p.TouchRead(e, segHeaderSize)
+			l := uint8(p.QuietLoadU64(e.Add(segOffDepth)))
 			if l > g {
 				return fmt.Errorf("core: recovery: segment %#x deeper (%d) than directory (%d)", e, l, g)
 			}
-			segs = append(segs, segInfo{addr: e, l: l, pat: pat})
+			segs = append(segs, segInfo{addr: e, l: l,
+				pat:   p.QuietLoadU64(e.Add(segOffPattern)),
+				split: p.QuietLoadU64(e.Add(segOffSplit)) != 0})
 		}
 	}
 
@@ -1555,10 +1571,9 @@ func (t *Table) recoverLazy(clean bool) error {
 		p.Persist(dirEntryAddr(dir, 0), 8*n)
 	}
 
-	// Re-derive each segment's (depth, pattern) from its actual coverage and
-	// reset every bucket's version lock. Coverage ranges are contiguous by
-	// construction, so one pass over fixed collects first/count for every
-	// segment.
+	// Re-derive each segment's (depth, pattern) from its actual coverage.
+	// Coverage ranges are contiguous by construction, so one pass over fixed
+	// collects first/count for every segment.
 	type cover struct{ first, count uint64 }
 	covers := make(map[pmem.Addr]*cover, len(segs))
 	for i := uint64(0); i < n; i++ {
@@ -1568,6 +1583,16 @@ func (t *Table) recoverLazy(clean bool) error {
 			covers[fixed[i]] = &cover{first: i, count: 1}
 		}
 	}
+	lr := &lazyRecovery{
+		clean:   clean,
+		g:       g,
+		fixed:   fixed,
+		openAt:  rstart,
+		pending: make(map[pmem.Addr]*segRecoverState, len(segs)),
+		order:   make([]pmem.Addr, 0, len(segs)),
+		refs:    make(map[pmem.Addr]struct{}),
+	}
+	view := make([]uint64, n)
 	for _, s := range segs {
 		first, count := uint64(0), uint64(0)
 		if c := covers[s.addr]; c != nil {
@@ -1581,50 +1606,24 @@ func (t *Table) recoverLazy(clean bool) error {
 		if l != s.l || pat != s.pat {
 			segSetMeta(p, nil, s.addr, l, pat)
 		}
-		for i := 0; i < totalBuckets; i++ {
-			p.StoreU64(segBucket(s.addr, i).Add(bkOffVersion), 0)
+		for i := first; i < first+count; i++ {
+			view[i] = packEntry(s.addr, l)
 		}
-		// Clear any split-progress marker, finishing or rolling back the
-		// half-migrated split it describes. If the marker's sibling made it
-		// into the directory, the claiming pass above already completed the
-		// flips and metadata and the record sweeps below drop the moved
-		// records' leftovers — the split rolls forward. Otherwise the
-		// sibling was never published: the directory still routes every key
-		// to this segment (which kept all its records; migration only
-		// reads), so the marker clear rolls the split back and the sibling
-		// block is leaked, like an unpublished block under the old
-		// protocol.
-		if p.LoadU64(s.addr.Add(segOffSplit)) != 0 {
-			p.StoreU64(s.addr.Add(segOffSplit), 0)
-			p.Persist(s.addr.Add(segOffSplit), 8)
-		}
+		lr.pending[s.addr] = &segRecoverState{l: l, pat: pat, split: s.split}
+		lr.order = append(lr.order, s.addr)
 	}
 
 	// Validate the record log's chunk chain and snapshot the sweep frontier
 	// (O(#chunks)); the blob-level sweep itself is the background pass. Then
-	// mirror the reconciled directory into the DRAM cache — the last
-	// O(directory) step — and build the deferred-work side table.
+	// install the reconciled directory as the DRAM cache and publish the
+	// deferred-work side table.
 	if clean {
-		t.count.Store(int64(p.ReadU64(rootAddr.Add(rootOffCount))))
+		t.count.Store(int64(p.QuietReadU64(rootAddr.Add(rootOffCount))))
 	}
 	if err := t.vlog.RecoverChunks(); err != nil {
 		return err
 	}
-	t.cacheRebuild()
-
-	lr := &lazyRecovery{
-		clean:   clean,
-		g:       g,
-		fixed:   fixed,
-		openAt:  rstart,
-		pending: make(map[pmem.Addr]*segRecoverState, len(segs)),
-		order:   make([]pmem.Addr, 0, len(segs)),
-		refs:    make(map[pmem.Addr]struct{}),
-	}
-	for _, s := range segs {
-		lr.pending[s.addr] = &segRecoverState{}
-		lr.order = append(lr.order, s.addr)
-	}
+	t.cacheInstall(dir, g, view)
 	lr.remaining.Store(int64(len(segs)))
 	t.lazy.Store(lr)
 	end := obs.Now()
@@ -1633,47 +1632,22 @@ func (t *Table) recoverLazy(clean bool) error {
 	return nil
 }
 
-// dedupeSegment removes all but the first copy of any key appearing twice
-// in the segment, comparing *canonical* keys (an inline record's 8-byte
-// little-endian key, an indirect record's blob key bytes): an interrupted
-// displacement duplicates a record verbatim, but an interrupted
-// representation-converting update leaves the same user key once inline
-// and once as a blob pointer. segSweep's scan order matches lookup order
-// (normal buckets ascending, then stash), so the surviving copy is the one
-// lookups would return. This is the one recovery pass that dereferences
-// blobs — recovery is already O(data).
-func (t *Table) dedupeSegment(seg pmem.Addr) {
-	seenKeys := make(map[string]bool)
-	var buf [8]byte
-	segSweep(t.pool, seg, t.seed, func(_ hashfn.Parts, kv pmem.KV) bool {
-		var k string
-		if recIsIndirect(kv.Key) {
-			k = string(t.vlog.KeyBytes(recBlobAddr(kv.Key)))
-		} else {
-			binary.LittleEndian.PutUint64(buf[:], kv.Key)
-			k = string(buf[:])
-		}
-		if seenKeys[k] {
-			return true
-		}
-		seenKeys[k] = true
-		return false
-	})
-}
-
 // sweepStashGhosts deletes stash records that no home bucket references:
 // neither a tracking slot nor a positive overflow count points at them, so
-// no lookup can ever see them and the slot would leak forever.
-func (t *Table) sweepStashGhosts(seg pmem.Addr) {
+// no lookup can ever see them and the slot would leak forever. It runs
+// inside first touch's exclusive gate right after the segment's one read
+// pass, so its loads are quiet; it marks every stash bucket it changes in
+// touched.
+func (t *Table) sweepStashGhosts(seg pmem.Addr, touched *[totalBuckets]bool) {
 	p := t.pool
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(seg, normalBuckets+j)
-		m := p.LoadU64(sa.Add(bkOffMeta))
+		m := p.QuietLoadU64(sa.Add(bkOffMeta))
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue
 			}
-			parts := recSplitParts(p.ReadKV(recordAddr(sa, slot)), t.seed)
+			parts := recSplitParts(p.QuietReadKV(recordAddr(sa, slot)), t.seed)
 			home := segBucket(seg, int(parts.BucketIndex(bucketBits)))
 			if findTrackedSlot(p, home, parts.FP, j) >= 0 {
 				continue
@@ -1682,6 +1656,7 @@ func (t *Table) sweepStashGhosts(seg pmem.Addr) {
 				continue
 			}
 			bucketDeleteLocked(p, nil, sa, normalBuckets+j, slot, true)
+			touched[normalBuckets+j] = true
 		}
 	}
 }
