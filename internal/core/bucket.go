@@ -121,22 +121,19 @@ func recordAddr(b pmem.Addr, slot int) pmem.Addr {
 // --- version lock (seqlock: even = free, odd = write-locked) ---
 //
 // Every lock/unlock pair also bumps the bucket's shadow version in the
-// segment's DRAM mirror (segfilter.go) when one is attached: odd on
-// acquisition, even again on release. All mirror write-through happens
-// inside that odd window, so a mirror reader that observes a stable even
-// shadow version holds a snapshot consistent with PM — the exact contract
-// bucketSearchOpt has with the PM version word. mir is nil on the paths
-// that run without a mirror (recovery, and mirror repair's own fill).
-// bi is the bucket's index within its segment, the mirror's coordinate.
+// segment's DRAM mirror (segfilter.go): odd on acquisition, even again on
+// release. All mirror write-through happens inside that odd window, so a
+// mirror reader that observes a stable even shadow version holds a
+// snapshot consistent with PM — the seqlock contract the PM version word
+// gives lock-free readers. bi is the bucket's index within its segment,
+// the mirror's coordinate.
 
 func lockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
 	va := b.Add(bkOffVersion)
 	for {
 		v := p.QuietLoadU64(va)
 		if v&1 == 0 && p.CompareAndSwapU64(va, v, v+1) {
-			if mir != nil {
-				mir.word(bi, mirBkVersion).Add(1)
-			}
+			mir.word(bi, mirBkVersion).Add(1)
 			return
 		}
 		runtime.Gosched()
@@ -147,9 +144,7 @@ func tryLockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) bool {
 	va := b.Add(bkOffVersion)
 	v := p.QuietLoadU64(va)
 	if v&1 == 0 && p.CompareAndSwapU64(va, v, v+1) {
-		if mir != nil {
-			mir.word(bi, mirBkVersion).Add(1)
-		}
+		mir.word(bi, mirBkVersion).Add(1)
 		return true
 	}
 	return false
@@ -164,9 +159,7 @@ func tryLockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) bool {
 // version goes even first: once the PM version admits readers the mirror
 // must already be readable.
 func unlockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
-	if mir != nil {
-		mir.word(bi, mirBkVersion).Add(1)
-	}
+	mir.word(bi, mirBkVersion).Add(1)
 	va := b.Add(bkOffVersion)
 	p.QuietStoreU64(va, p.QuietLoadU64(va)+1)
 }
@@ -221,9 +214,10 @@ func bucketFreeSlots(p *pmem.Pool, b pmem.Addr) int {
 // right before the directory publishes it — a crash before that point rolls
 // the whole sibling back, so nothing written into it needs individual
 // ordering.
-// All mutators below write through to the segment mirror (mir, nil-able)
-// after mutating PM; the caller's lock holds the bucket's shadow version
-// odd, so the store order within the window is immaterial.
+// All mutators below write through to the segment mirror after mutating
+// PM; the caller's lock (or first touch's exclusive gate, before the
+// mirror is published) keeps readers out, so the store order within the
+// window is immaterial.
 func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) bool {
 	m := p.QuietLoadU64(b.Add(bkOffMeta))
 	slot := metaFirstFree(m)
@@ -258,13 +252,11 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 24)
 	}
-	if mir != nil {
-		mir.recWord(bi, slot, 1).Store(kv.Value)
-		mir.recWord(bi, slot, 0).Store(kv.Key)
-		mir.word(bi, mirBkFPLo).Store(lo)
-		mir.word(bi, mirBkFPHi).Store(hi)
-		mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
-	}
+	mir.recWord(bi, slot, 1).Store(kv.Value)
+	mir.recWord(bi, slot, 0).Store(kv.Key)
+	mir.word(bi, mirBkFPLo).Store(lo)
+	mir.word(bi, mirBkFPHi).Store(hi)
+	mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
 	return true
 }
 
@@ -277,9 +269,7 @@ func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot 
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 	}
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(metaClearSlot(m, slot))
-	}
+	mir.word(bi, mirBkMeta).Store(metaClearSlot(m, slot))
 }
 
 // bucketTrackOverflow records in the home bucket that one of its keys went
@@ -298,19 +288,15 @@ func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp u
 		if persist {
 			p.Persist(b.Add(bkOffMeta), 24)
 		}
-		if mir != nil {
-			mir.word(bi, mirBkFPHi).Store(ovIdxSet(hi, i, stashIdx))
-			mir.word(bi, mirBkMeta).Store(metaSetOvFP(m, i, fp))
-		}
+		mir.word(bi, mirBkFPHi).Store(ovIdxSet(hi, i, stashIdx))
+		mir.word(bi, mirBkMeta).Store(metaSetOvFP(m, i, fp))
 		return
 	}
 	p.QuietStoreU64(b.Add(bkOffMeta), metaAddOvCount(m, +1))
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 	}
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(metaAddOvCount(m, +1))
-	}
+	mir.word(bi, mirBkMeta).Store(metaAddOvCount(m, +1))
 }
 
 // bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
@@ -327,9 +313,7 @@ func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, tr
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 	}
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(nm)
-	}
+	mir.word(bi, mirBkMeta).Store(nm)
 }
 
 // metaFindTracked is the pure form of findTrackedSlot: the tracking slot in
@@ -349,48 +333,4 @@ func findTrackedSlot(p *pmem.Pool, b pmem.Addr, fp uint8, stashIdx int) int {
 	m := p.QuietLoadU64(b.Add(bkOffMeta))
 	hi := p.QuietLoadU64(b.Add(bkOffFPHi))
 	return metaFindTracked(m, hi, fp, stashIdx)
-}
-
-// --- reader-side operation: optimistic, lock-free ---
-
-// bucketSearchOpt scans one bucket without taking its lock. It loops until a
-// scan completes under an unchanged even version (seqlock read), so the
-// returned record words — and the header words handed back for
-// overflow-probing decisions — form a consistent snapshot. A matched
-// indirect record's blob may be dereferenced during the scan and again by
-// the caller: blob bytes are immutable from commit until epoch reclamation,
-// and the caller holds an epoch guard, so the bytes cannot change or be
-// reused underneath either read; a match found through a slot that mutated
-// mid-scan is discarded by the version recheck like any other stale read.
-//
-// Accounting follows the one-charge-per-line discipline: the version load
-// pays for the header cacheline, so the meta/fingerprint words sharing that
-// line are read quietly — a probe is charged one header line plus one line
-// per fingerprint-matched record it dereferences (plus the blob read on a
-// full-hash match).
-func bucketSearchOpt(p *pmem.Pool, vl *pmem.VarLog, b pmem.Addr, pk *probeKey) (kv pmem.KV, found bool, m, hi uint64) {
-	va := b.Add(bkOffVersion)
-	for {
-		v := p.LoadU64(va)
-		if v&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		m = p.QuietLoadU64(b.Add(bkOffMeta))
-		lo := p.QuietLoadU64(b.Add(bkOffFPLo))
-		hi = p.QuietLoadU64(b.Add(bkOffFPHi))
-		kv, found = pmem.KV{}, false
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) || fpGet(lo, hi, slot) != pk.parts.FP {
-				continue
-			}
-			if r, ok := recProbe(p, vl, recordAddr(b, slot), pk); ok {
-				kv, found = r, true
-				break
-			}
-		}
-		if p.QuietLoadU64(va) == v {
-			return
-		}
-	}
 }

@@ -18,20 +18,24 @@
 //	               an atomic root-pointer flip. The PM block is the
 //	               crash-consistent source of truth only; hot-path routing
 //	               goes through dircache.go.
-//	dircache.go  — DRAM-resident mirror of the directory (global depth,
-//	               segment addresses, local depths), consulted first by
-//	               every operation, kept fresh by write-through from splits
-//	               and doublings, validated against PM before any miss is
-//	               trusted, and built on Open from the directory image
-//	               the restart reconcile already read.
+//	dircache.go  — DRAM-resident mirror of the directory: the global depth
+//	               and one pointer per entry to its segment's handle, the
+//	               one DRAM object per segment (address, (local depth,
+//	               pattern) claim, filter mirror, first-touch recovery
+//	               gate, in-flight split sibling). Consulted first by every
+//	               operation, kept fresh by write-through from splits and
+//	               doublings, validated against PM before any miss is
+//	               trusted, and built on Open from the directory image the
+//	               restart reconcile already read.
 //	segfilter.go — the same selective-persistence pattern one layer down:
-//	               a DRAM mirror per segment (bucket bitmaps, fingerprints
-//	               and record words under a shadow seqlock) that serves
-//	               read probes without touching PM buckets at all, written
-//	               through by every locked mutator, self-checked against
-//	               PM on a hash sample, healed in place, and filled at
-//	               each segment's first touch after Open from the same
-//	               one read that reconciles the segment (lazyrec.go).
+//	               the handle's DRAM mirror of its segment (bucket bitmaps,
+//	               fingerprints and record words under a shadow seqlock)
+//	               that serves read probes without touching PM buckets at
+//	               all, written through by every locked mutator,
+//	               self-checked against PM on a hash sample, healed in
+//	               place, and filled at each segment's first touch after
+//	               Open from the same one read that reconciles the segment
+//	               (lazyrec.go).
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow with fingerprint tracking metadata.
@@ -52,12 +56,11 @@
 // Everything persistent is addressed by pmem.Pool offsets, so the whole
 // structure survives pmem's simulated power loss (Pool.Crash) and reopens
 // from the durable media image via Open; the directory cache and the
-// per-segment filter mirrors are the deliberately DRAM-only pieces,
-// reconstructible state kept out of the persistence domain (Dash's
+// segment handles with their filter mirrors are the deliberately DRAM-only
+// pieces, reconstructible state kept out of the persistence domain (Dash's
 // selective-persistence principle). The hash-bit contract shared by all
-// layers —
-// fingerprint from the low byte, bucket index from the next bits, directory
-// index from the MSBs — lives in hashfn.Parts.
+// layers — fingerprint from the low byte, bucket index from the next bits,
+// directory index from the MSBs — lives in hashfn.Parts.
 //
 // The exported entry points are Create (format a pool), Open (recover a
 // crashed or cleanly closed image) and New (pool + table in one call), all

@@ -18,12 +18,11 @@ import (
 // ordinary Go memory:
 //
 //   - the global depth and the mirrored directory block's address,
-//   - one packed word per directory entry: the segment's 256-aligned PM
-//     address OR'd with its local depth in the low byte (the segment's
-//     pattern needs no slot of its own: pattern = entryIndex >> (global −
-//     local)). The hot route() path needs only the address; the mirrored
-//     local depth is what the coherence checks (and any future shape
-//     introspection) read without touching PM segment headers.
+//   - one pointer per directory entry to its segment's handle (segHandle):
+//     the one DRAM object per segment, carrying the segment's address, its
+//     (local depth, pattern) claim, its filter mirror (segfilter.go) and its
+//     first-touch recovery gate (lazyrec.go). A segment's entries are
+//     contiguous and all hold the same handle pointer.
 //
 // Operations route through the cache first and touch PM metadata only to
 // validate (validateRoute) or repair (cacheRepair). Coherence is
@@ -38,9 +37,9 @@ import (
 // of a split being covered by the segment's bucket locks). A failed
 // validation falls back to the PM path via cacheRepair and retries.
 //
-// Create builds the cache with one O(directory) pass over the PM directory;
-// Open installs it from the directory image its reconcile already read.
-// Nothing about it is persisted.
+// Create installs the cache over the segments it formats; Open installs it
+// from the directory image its reconcile already read. Nothing about it is
+// persisted.
 type dirCache struct {
 	// view is an immutable-shape snapshot: the entries slice is fixed at
 	// 2^depth and only ever swapped wholesale (doubling, rebuild). Entry
@@ -65,62 +64,118 @@ type dirCache struct {
 type dirView struct {
 	depth   uint8
 	dir     pmem.Addr // the PM directory block this view mirrors
-	entries []atomic.Uint64
+	entries []atomic.Pointer[segHandle]
 }
 
-// entryDepthBits is the low-bit budget for the local depth packed into an
-// entry word; segment addresses are allocAlign-aligned so these bits are
-// always zero in the address.
-const entryDepthBits = allocAlign - 1
+// segHandle is a segment's DRAM state, reached through the directory cache
+// in one pointer load. The object is permanent for its segment: splits
+// update its claim in place, and repairs reuse it.
+type segHandle struct {
+	addr pmem.Addr
 
-func packEntry(seg pmem.Addr, local uint8) uint64 {
-	return uint64(seg) | uint64(local)
+	// claim packs the segment header's (local depth, pattern) as
+	// pattern<<8 | depth, so a reader loads both in one word. A split
+	// publish updates it while holding every bucket lock of the segment.
+	claim atomic.Uint64
+
+	// mir is the segment's filter mirror; nil until the segment's
+	// first-touch recovery after Open fills it, which doubles as the
+	// gate's "done" state. recovering is the gate's claim bit, and split
+	// records that Open saw a split marker for first touch to clear.
+	mir        atomic.Pointer[segMirror]
+	recovering atomic.Bool
+	split      bool
+
+	// sib is the handle of the sibling of this segment's in-flight split,
+	// set before the split marker is persisted and cleared when the split
+	// publishes or rolls back.
+	sib atomic.Pointer[segHandle]
 }
 
-func unpackEntry(e uint64) (seg pmem.Addr, local uint8) {
-	return pmem.Addr(e &^ entryDepthBits), uint8(e & entryDepthBits)
+func newSegHandle(addr pmem.Addr, depth uint8, pattern uint64, mir *segMirror) *segHandle {
+	h := &segHandle{addr: addr}
+	h.setClaim(depth, pattern)
+	if mir != nil {
+		h.mir.Store(mir)
+	}
+	return h
 }
 
-// route returns the cached segment and local depth for the key's directory
-// slot. Pure DRAM: no PM traffic, no locks. The result may be stale while a
-// split or doubling is in flight; callers validate before trusting it.
-func (c *dirCache) route(parts hashfn.Parts) (seg pmem.Addr, local uint8) {
+func (h *segHandle) setClaim(depth uint8, pattern uint64) {
+	h.claim.Store(pattern<<8 | uint64(depth))
+}
+
+func (h *segHandle) loadClaim() (depth uint8, pattern uint64) {
+	c := h.claim.Load()
+	return uint8(c), c >> 8
+}
+
+// claims is segClaims against the handle's claim: does this segment's
+// (depth, pattern) claim the key? Pure DRAM.
+func (h *segHandle) claims(parts hashfn.Parts) bool {
+	l, pat := h.loadClaim()
+	return hashfn.SegmentIndex(parts.Hash, l) == pat
+}
+
+// route returns the handle cached for the key's directory slot. Pure DRAM:
+// no PM traffic, no locks. The result may be stale while a split or
+// doubling is in flight; callers validate before trusting it.
+func (c *dirCache) route(parts hashfn.Parts) *segHandle {
 	v := c.view.Load()
-	return unpackEntry(v.entries[parts.DirIndex(v.depth)].Load())
+	return v.entries[parts.DirIndex(v.depth)].Load()
+}
+
+// eachHandle calls fn once per distinct handle of view v, in entry order.
+// A segment's entries are contiguous, so comparing each entry with the
+// previous one is enough; under a concurrent split publish the walk may
+// visit a handle twice, which is why its exact callers run quiescent.
+func eachHandle(v *dirView, fn func(h *segHandle)) {
+	var prev *segHandle
+	for i := range v.entries {
+		if h := v.entries[i].Load(); h != prev {
+			prev = h
+			fn(h)
+		}
+	}
 }
 
 // cacheRebuild reconstructs the whole view from the PM directory in one
-// O(directory) pass — the Create path, and the repair path for a view that
-// no longer matches the PM directory's shape. Single-threaded callers
-// (Create) call it directly; concurrent callers must hold dirMu so the swap
-// cannot race a doubling.
+// O(directory) pass — the repair path for a view that no longer matches the
+// PM directory's shape, which write-through makes unreachable except for a
+// view a test poisoned. Each segment keeps the handle the current view
+// already holds for its address; an address with none gets a new handle
+// whose mirror is filled from PM (handleFor). The caller holds dirMu.
 func (t *Table) cacheRebuild() {
 	p := t.pool
+	known := make(map[pmem.Addr]*segHandle)
+	eachHandle(t.cache.view.Load(), func(h *segHandle) { known[h.addr] = h })
 	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
 	depth := dirDepth(p, dir)
-	n := uint64(1) << depth
-	packed := make([]uint64, n)
-	depths := make(map[pmem.Addr]uint8)
-	for i := uint64(0); i < n; i++ {
-		seg := dirLoadEntry(p, dir, i)
-		l, ok := depths[seg]
-		if !ok {
-			l = segDepth(p, seg)
-			depths[seg] = l
+	hs := make([]*segHandle, uint64(1)<<depth)
+	for i := range hs {
+		seg := dirLoadEntry(p, dir, uint64(i))
+		if i > 0 && hs[i-1].addr == seg {
+			hs[i] = hs[i-1]
+			continue
 		}
-		packed[i] = packEntry(seg, l)
+		l := segDepth(p, seg)
+		if h := known[seg]; h != nil {
+			hs[i] = h
+		} else {
+			hs[i] = t.newRepairedHandle(seg, l)
+		}
 	}
-	t.cacheInstall(dir, depth, packed)
+	t.cacheInstall(dir, depth, hs)
 }
 
-// cacheInstall swaps in a view of directory block dir at depth built from
-// packed entry words (packEntry). Open calls it with the image its
-// reconcile already read and fixed, so the cache costs no second pass over
-// the PM directory and segment headers.
-func (t *Table) cacheInstall(dir pmem.Addr, depth uint8, packed []uint64) {
-	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Uint64, len(packed))}
-	for i, e := range packed {
-		v.entries[i].Store(e)
+// cacheInstall swaps in a view of directory block dir at depth over one
+// handle per entry. Create and Open call it with the handles they built
+// from the image they just wrote or reconciled, so the cache costs no
+// second pass over the PM directory and segment headers.
+func (t *Table) cacheInstall(dir pmem.Addr, depth uint8, hs []*segHandle) {
+	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Pointer[segHandle], len(hs))}
+	for i, h := range hs {
+		v.entries[i].Store(h)
 	}
 	t.cache.view.Store(v)
 	t.cache.rebuilds.Inc()
@@ -146,37 +201,54 @@ func (t *Table) cacheRepair(parts hashfn.Parts) {
 	}
 	idx := parts.DirIndex(v.depth)
 	seg := dirLoadEntry(p, dir, idx)
-	v.entries[idx].Store(packEntry(seg, segDepth(p, seg)))
+	l := segDepth(p, seg)
+	if v.entries[idx].Load().addr == seg {
+		return
+	}
+	// The entry names another segment: find seg's handle among the entries
+	// its coverage spans, or make one.
+	start, span := dirCoverage(v.depth, l, p.QuietLoadU64(seg.Add(segOffPattern)))
+	for i := start; i < start+span; i++ {
+		if h := v.entries[i].Load(); h.addr == seg {
+			v.entries[idx].Store(h)
+			return
+		}
+	}
+	v.entries[idx].Store(t.newRepairedHandle(seg, l))
+}
+
+// newRepairedHandle makes a handle for a directory-reachable segment the
+// view lost — only a view a test poisoned does that — and fills its claim
+// and mirror from PM under the segment's bucket locks (mirrorRepair).
+func (t *Table) newRepairedHandle(seg pmem.Addr, l uint8) *segHandle {
+	h := newSegHandle(seg, l, t.pool.QuietLoadU64(seg.Add(segOffPattern)), &segMirror{})
+	t.mirrorRepair(h)
+	return h
 }
 
 // cachePublishSplit write-through: mirror a completed split of the entry
-// range [start, start+span) — lower half keeps oldSeg, upper half routes to
-// newSeg, both now at newLocal. The caller holds dirMu and every bucket
-// lock of oldSeg, so this lands before any operation can observe the
-// post-split segment metadata.
-func (t *Table) cachePublishSplit(oldSeg, newSeg pmem.Addr, newLocal uint8, start, span uint64) {
+// range [start, start+span) — the lower half keeps old's handle, whose
+// claim the caller already updated, and the upper half routes to sib. The
+// caller holds dirMu and every bucket lock of old's segment, so this lands
+// before any operation can observe the post-split segment metadata.
+func (t *Table) cachePublishSplit(sib *segHandle, start, span uint64) {
 	v := t.cache.view.Load()
-	half := span >> 1
-	for i := start; i < start+half; i++ {
-		v.entries[i].Store(packEntry(oldSeg, newLocal))
-	}
-	for i := start + half; i < start+span; i++ {
-		v.entries[i].Store(packEntry(newSeg, newLocal))
+	for i := start + span>>1; i < start+span; i++ {
+		v.entries[i].Store(sib)
 	}
 }
 
 // cacheDouble write-through: install the doubled view right after the PM
-// root pointer flipped to newDir. Every old entry is duplicated, preserving
-// each segment's packed local depth (doubling changes no segment's
-// coverage). The caller holds dirMu.
+// root pointer flipped to newDir. Every old entry is duplicated (doubling
+// changes no segment's coverage). The caller holds dirMu.
 func (t *Table) cacheDouble(newDir pmem.Addr) {
 	old := t.cache.view.Load()
 	n := uint64(len(old.entries))
-	v := &dirView{depth: old.depth + 1, dir: newDir, entries: make([]atomic.Uint64, 2*n)}
+	v := &dirView{depth: old.depth + 1, dir: newDir, entries: make([]atomic.Pointer[segHandle], 2*n)}
 	for i := uint64(0); i < n; i++ {
-		e := old.entries[i].Load()
-		v.entries[2*i].Store(e)
-		v.entries[2*i+1].Store(e)
+		h := old.entries[i].Load()
+		v.entries[2*i].Store(h)
+		v.entries[2*i+1].Store(h)
 	}
 	t.cache.view.Store(v)
 }

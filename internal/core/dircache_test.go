@@ -13,8 +13,10 @@ import (
 // coherent under concurrent growth (run with -race).
 
 // verifyCacheCoherent checks the cached view against the PM directory
-// entry-for-entry: same directory block, same depth, same segment per entry,
-// and a packed local depth matching the segment's own header.
+// entry-for-entry — same directory block, same depth, same segment per
+// entry — and the segment handles behind it: each handle's claim matches
+// its segment header, all entries of a segment share one handle, no two
+// handles name one segment, and every recovered handle's mirror matches PM.
 func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	t.Helper()
 	p := tbl.pool
@@ -31,14 +33,28 @@ func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	if uint64(len(v.entries)) != n {
 		t.Fatalf("cache has %d entries, want %d", len(v.entries), n)
 	}
+	handles := make(map[pmem.Addr]*segHandle)
 	for i := uint64(0); i < n; i++ {
 		want := dirLoadEntry(p, dir, i)
-		seg, local := unpackEntry(v.entries[i].Load())
-		if seg != want {
-			t.Fatalf("entry %d: cache routes to %#x, PM directory to %#x", i, seg, want)
+		h := v.entries[i].Load()
+		if h.addr != want {
+			t.Fatalf("entry %d: cache routes to %#x, PM directory to %#x", i, h.addr, want)
 		}
-		if wl := segDepth(p, seg); local != wl {
-			t.Fatalf("entry %d: cached local depth %d, segment header says %d", i, local, wl)
+		l, pat := h.loadClaim()
+		if wl, wp := p.QuietLoadU64(want.Add(segOffDepth)), p.QuietLoadU64(want.Add(segOffPattern)); uint64(l) != wl || pat != wp {
+			t.Fatalf("entry %d: handle claims (%d, %d), segment header says (%d, %d)", i, l, pat, wl, wp)
+		}
+		if prev, ok := handles[h.addr]; ok && prev != h {
+			t.Fatalf("entry %d: segment %#x has two handles", i, h.addr)
+		}
+		handles[h.addr] = h
+	}
+	for _, h := range handles {
+		if h.mir.Load() == nil {
+			continue // awaiting first touch after Open
+		}
+		if bad := tbl.mirrorVerifySeg(h); bad != 0 {
+			t.Fatalf("segment %#x: mirror diverges from PM in %d buckets", h.addr, bad)
 		}
 	}
 }
@@ -136,6 +152,10 @@ func TestDirCacheStaleViewAllOps(t *testing.T) {
 			t.Fatalf("post-heal Get(%d) = %d,%v want %d,true", k, got, ok, v)
 		}
 	}
+	// A rebuild that kept two mirrors for one segment would count twice.
+	if st := tbl.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
+		t.Fatalf("SegFilterBytes = %d, want %d segments x %d", st.SegFilterBytes, st.Segments, segMirrorBytes)
+	}
 }
 
 // TestDirCachePoisonedEntry: corrupt a single route (right depth, wrong
@@ -160,16 +180,16 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	}
 	v := tbl.cache.view.Load()
 	idx := tbl.parts(key).DirIndex(v.depth)
-	right, _ := unpackEntry(v.entries[idx].Load())
-	var wrong pmem.Addr
+	right := v.entries[idx].Load().addr
+	var wrong *segHandle
 	for i := range v.entries {
-		if seg, local := unpackEntry(v.entries[i].Load()); seg != right {
-			v.entries[idx].Store(packEntry(seg, local))
-			wrong = seg
+		if h := v.entries[i].Load(); h.addr != right {
+			v.entries[idx].Store(h)
+			wrong = h
 			break
 		}
 	}
-	if wrong.IsNull() {
+	if wrong == nil {
 		t.Fatal("table has only one segment; cannot poison a route")
 	}
 
@@ -180,7 +200,7 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	if tbl.cache.misses.Total() == missesBefore {
 		t.Error("poisoned route produced no cache miss")
 	}
-	if seg, _ := unpackEntry(v.entries[idx].Load()); seg != right {
+	if seg := v.entries[idx].Load().addr; seg != right {
 		t.Errorf("repair left entry %d at %#x, want %#x", idx, seg, right)
 	}
 	verifyCacheCoherent(t, tbl)

@@ -189,7 +189,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 	mU, mV := crashOracle(ops[:acked])
 	inFlight := ops[acked]
 
-	tbl, err := Open(pool)
+	tbl, err := OpenWith(pool, Deps{NoBackgroundRecovery: true})
 	if err != nil {
 		fail("Open: %v", err)
 	}
@@ -278,7 +278,6 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 // seeded history by default; DASH_CRASH_SWEEP=full crashes at every single
 // flush boundary (slow — minutes, not for the default `go test` budget).
 func TestCrashPointFuzz(t *testing.T) {
-	withLazyGates(t)
 	ops := genCrashHistory(8, slotsPerSegment+slotsPerSegment/2)
 
 	// Dry run: count the history's flush boundaries and prove it completes.

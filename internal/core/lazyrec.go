@@ -14,58 +14,38 @@ import (
 
 // Lazy per-segment recovery (§4.6): Open reads the directory block once and
 // one header line per segment, fixes directory claims and segment metadata,
-// and defers everything per bucket to first touch. Every directory-reachable
-// segment starts "unrecovered" in a DRAM side table; the first operation
-// routed to it wins a CAS gate (the split-claim idiom) and runs the
-// per-segment reconcile while losers spin the winner out. The reconcile
-// clears held version locks and a leftover split marker, then reads each
-// bucket once — one streaming read of its header line and used record
-// lines — and decides everything from that read: misroute and duplicate
-// drops, the record count, the segment's blob references and its filter
-// mirror. The rare drops and the stash-ghost sweep are applied afterwards,
-// refilling only the mirror buckets they change. The record-log sweep runs
-// as an incremental background pass once every segment has recovered (it
+// and defers everything per bucket to first touch. Open gives every
+// directory-reachable segment a handle (dircache.go) carrying its
+// reconciled claim and no mirror; the first operation routed to it wins the
+// handle's gate (a CAS, the split-claim idiom) and runs the per-segment
+// reconcile while losers spin until the handle's mirror appears. The
+// reconcile clears held version locks and a leftover split marker, then
+// reads each bucket once — one streaming read of its header line and used
+// record lines — and decides everything from that read: misroute and
+// duplicate drops, the record count, the segment's blob references and its
+// filter mirror. The rare drops and the stash-ghost sweep are applied
+// afterwards, writing through to the mirror. The record-log sweep runs as
+// an incremental background pass once every segment has recovered (it
 // needs the complete reference set), free-listing dead blobs in small
 // batches under epoch guards.
 //
 // After a *clean* shutdown (Close persisted the root's clean marker) the
 // drops and the count derivation are skipped — the image is reconciled by
 // construction — but first touch still clears locks the crash model left
-// odd, installs the segment's mirror and contributes its blob references,
-// and the background pass still runs to rebuild the record log's DRAM free
+// odd, fills the segment's mirror and contributes its blob references, and
+// the background pass still runs to rebuild the record log's DRAM free
 // list.
 
-const (
-	segRecPending uint32 = iota
-	segRecInFlight
-	segRecDone
-)
-
-// segRecoverState is one segment's first-touch gate plus what Open learned
-// from its header line: the reconciled (depth, pattern) claim for the
-// mirror, and whether a split-progress marker needs clearing. Pointer-
-// stable: the pending map is built once in Open and read-only afterwards.
-type segRecoverState struct {
-	state atomic.Uint32
-	l     uint8
-	pat   uint64
-	split bool
-}
-
 // lazyRecovery is the DRAM side table describing what Open deferred. The
-// Table drops its pointer once the background pass finishes, restoring the
-// ungated hot path.
+// Table drops its pointer once the background pass finishes.
 type lazyRecovery struct {
-	clean  bool        // clean-shutdown image: skip sweeps and count derivation
-	g      uint8       // global depth at Open
-	fixed  []pmem.Addr // reconciled directory image at Open, for misroute checks
-	openAt int64       // obs.Now() at Open, base of time-to-fully-recovered
+	clean  bool  // clean-shutdown image: skip sweeps and count derivation
+	openAt int64 // obs.Now() at Open, base of time-to-fully-recovered
 
-	// pending maps every directory-reachable segment at Open to its gate.
-	// Segments created after Open (split siblings) are absent — born
-	// recovered. order is the deterministic iteration for driveRecovery.
-	pending   map[pmem.Addr]*segRecoverState
-	order     []pmem.Addr
+	// order holds the handle of every directory-reachable segment at Open,
+	// the deterministic iteration for driveRecovery. Segments created after
+	// Open (split siblings) are absent — born recovered.
+	order     []*segHandle
 	remaining atomic.Int64
 
 	// refs accumulates the blob addresses referenced by recovered segments'
@@ -81,39 +61,34 @@ type lazyRecovery struct {
 	done  atomic.Bool
 }
 
-// disableBackgroundRecovery, when set, stops Open from spawning the
-// background recovery driver — tests that must observe segments in their
-// unrecovered state (first-touch races, mid-sweep crashes) set it and drive
-// recovery by hand. Package-private test knob, not part of the API.
-var disableBackgroundRecovery atomic.Bool
-
-// ensureRecovered gates one routed segment: a no-op once the table is fully
-// recovered (single pointer load) or when seg was already handled. Called at
-// the top of every op-loop iteration, before the segment's mirror or buckets
-// are trusted.
-func (t *Table) ensureRecovered(seg pmem.Addr) {
-	lr := t.lazy.Load()
-	if lr == nil {
-		return
+// ensureRecovered gates one routed segment and returns its mirror: a single
+// pointer load once the segment has recovered (always, for segments born
+// after Open). Called at the top of every op-loop iteration, before the
+// segment's mirror or buckets are trusted.
+func (t *Table) ensureRecovered(h *segHandle) *segMirror {
+	if mir := h.mir.Load(); mir != nil {
+		return mir
 	}
-	s := lr.pending[seg]
-	if s == nil || s.state.Load() == segRecDone {
-		return
-	}
-	t.firstTouch(lr, s, seg)
+	return t.firstTouch(h)
 }
 
 // firstTouch is the once-per-segment gate: the CAS winner recovers the
-// segment, losers wait it out (no locks held at the call sites, so spinning
-// is deadlock-free — the same shape as split's claim).
-func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) {
-	if s.state.CompareAndSwap(segRecPending, segRecInFlight) {
-		t.recoverSegment(lr, s, seg)
-		s.state.Store(segRecDone)
+// segment and publishes its mirror, which opens the gate; losers wait for
+// the mirror (no locks held at the call sites, so spinning is deadlock-free
+// — the same shape as split's claim). A handle without a mirror exists
+// only while the table's lazy side table does.
+func (t *Table) firstTouch(h *segHandle) *segMirror {
+	if h.recovering.CompareAndSwap(false, true) {
+		lr := t.lazy.Load()
+		mir := t.recoverSegment(lr, h)
 		lr.remaining.Add(-1)
-		return
+		h.mir.Store(mir)
+		return mir
 	}
-	for s.state.Load() != segRecDone {
+	for {
+		if mir := h.mir.Load(); mir != nil {
+			return mir
+		}
 		runtime.Gosched()
 	}
 }
@@ -122,17 +97,18 @@ func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) 
 // exclusive gate: no operation can touch the segment's buckets until the
 // gate releases, so the pass runs single-threaded exactly as eager recovery
 // did. A segment cannot split before it recovers (every mutator gates
-// first), so lr.fixed/lr.g still describe its coverage.
+// first), so the handle's claim is still the coverage Open reconciled.
 //
 // PM is read once: one streaming read per bucket of its header line (lock
 // word, meta and fingerprints) and its used record lines — the lines
 // split's scans charge for the same bucket. A lock word is written only
 // when a crash left it odd. The mirror is filled from that read; on the
 // crash path the same read decides the drops, which are applied afterwards
-// (with the stash-ghost sweep) before the buckets they touched are
-// refilled.
-func (t *Table) recoverSegment(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) {
+// (with the stash-ghost sweep), writing through to the mirror. Returns the
+// finished mirror for the caller to publish.
+func (t *Table) recoverSegment(lr *lazyRecovery, h *segHandle) *segMirror {
 	p := t.pool
+	seg := h.addr
 	start := obs.Now()
 	// Clear any split-progress marker, finishing or rolling back the
 	// half-migrated split it describes. If the marker's sibling made it
@@ -142,11 +118,11 @@ func (t *Table) recoverSegment(lr *lazyRecovery, s *segRecoverState, seg pmem.Ad
 	// published: the directory still routes every key to this segment
 	// (which kept all its records; migration only reads), so the marker
 	// clear rolls the split back and the sibling block is leaked.
-	if s.split {
+	if h.split {
 		p.StoreU64(seg.Add(segOffSplit), 0)
 		p.Persist(seg.Add(segOffSplit), 8)
 	}
-	mir := t.mirrorInstall(seg, s.l, s.pat)
+	mir := &segMirror{}
 	var sc *segScan
 	if !lr.clean {
 		sc = segScanPool.Get().(*segScan)
@@ -164,28 +140,20 @@ func (t *Table) recoverSegment(lr *lazyRecovery, s *segRecoverState, seg pmem.Ad
 		}
 		mirrorCopyBucket(p, mir, seg, bi)
 		if sc != nil {
-			t.scanBucket(lr, sc, mir, seg, bi)
+			t.scanBucket(sc, h, mir, bi)
 		}
 	}
 	if sc != nil {
-		var touched [totalBuckets]bool
 		for _, d := range sc.drops {
 			loc := recLoc{bucket: d.bucket, slot: d.slot, tracked: -1}
-			touched[d.bucket] = true
 			if loc.inStash() {
 				home := int(d.parts.BucketIndex(bucketBits))
 				loc.tracked = findTrackedSlot(p, segBucket(seg, home), d.parts.FP, d.bucket-normalBuckets)
-				touched[home] = true
 			}
-			segDeleteAt(p, nil, seg, d.parts, loc, false, true)
+			segDeleteAt(p, mir, seg, d.parts, loc, false, true)
 		}
 		segScanPool.Put(sc)
-		t.sweepStashGhosts(seg, &touched)
-		for bi, ok := range touched {
-			if ok {
-				mirrorCopyBucket(p, mir, seg, bi)
-			}
-		}
+		t.sweepStashGhosts(mir, seg)
 	}
 	segDone := obs.Now()
 
@@ -225,6 +193,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, s *segRecoverState, seg pmem.Ad
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
+	return mir
 }
 
 // segScan is the crash-path scratch of one first touch: the records kept so
@@ -262,13 +231,14 @@ func (sc *segScan) reset() {
 }
 
 // scanBucket classifies one bucket's records from the words just copied
-// into the mirror: a record the reconciled directory routes to another
-// segment is a misroute (the leftover of a split that rolled forward), and
-// a record whose canonical key an earlier record already holds is a
-// duplicate (an interrupted displacement copies a record verbatim; an
-// interrupted representation-converting update leaves the key once inline
-// and once as a blob pointer).
-func (t *Table) scanBucket(lr *lazyRecovery, sc *segScan, mir *segMirror, seg pmem.Addr, bi int) {
+// into the mirror: a record the segment's reconciled claim does not cover
+// is a misroute (the leftover of a split that rolled forward), and a record
+// whose canonical key an earlier record already holds is a duplicate (an
+// interrupted displacement copies a record verbatim; an interrupted
+// representation-converting update leaves the key once inline and once as
+// a blob pointer). Open rejects coverage that is not an aligned power of
+// two, so the claim covers exactly the directory entries routed here.
+func (t *Table) scanBucket(sc *segScan, h *segHandle, mir *segMirror, bi int) {
 	m := mir.word(bi, mirBkMeta).Load()
 	for slot := 0; slot < slotsPerBucket; slot++ {
 		if !metaSlotUsed(m, slot) {
@@ -276,7 +246,7 @@ func (t *Table) scanBucket(lr *lazyRecovery, sc *segScan, mir *segMirror, seg pm
 		}
 		kv := pmem.KV{Key: mir.recWord(bi, slot, 0).Load(), Value: mir.recWord(bi, slot, 1).Load()}
 		parts := recSplitParts(kv, t.seed)
-		if lr.fixed[parts.DirIndex(lr.g)] != seg || t.scanDuplicate(sc, parts.Hash, kv.Key) {
+		if !h.claims(parts) || t.scanDuplicate(sc, parts.Hash, kv.Key) {
 			sc.drops = append(sc.drops, scanDrop{bucket: bi, slot: slot, parts: parts})
 		}
 	}
@@ -348,16 +318,15 @@ func (t *Table) driveRecovery(lr *lazyRecovery) {
 	if lr.done.Load() {
 		return
 	}
-	for _, seg := range lr.order {
-		s := lr.pending[seg]
-		if s.state.Load() != segRecDone {
-			t.firstTouch(lr, s, seg)
+	for _, h := range lr.order {
+		if h.mir.Load() == nil {
+			t.firstTouch(h)
 			runtime.Gosched()
 		}
 	}
 
 	// Every segment is recovered, so lr.refs is complete and frozen: each
-	// insert into it happened-before the done-state load above. The sweep is
+	// insert into it happened-before the mirror load above. The sweep is
 	// bounded to blobs that existed at Open (RecoverChunks snapshotted the
 	// frontier), so a referenced blob freed-and-reused concurrently is
 	// simply skipped — never double-freed, never handed out twice.
@@ -416,16 +385,9 @@ func (t *Table) verifyLogLive() error {
 	t.em.Drain()
 	p := t.pool
 	refs := make(map[pmem.Addr]struct{})
-	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
-		}
-		seen[seg] = true
+	eachHandle(t.cache.view.Load(), func(h *segHandle) {
 		for bi := 0; bi < totalBuckets; bi++ {
-			ba := segBucket(seg, bi)
+			ba := segBucket(h.addr, bi)
 			m := p.QuietLoadU64(ba.Add(bkOffMeta))
 			for slot := 0; slot < slotsPerBucket; slot++ {
 				if !metaSlotUsed(m, slot) {
@@ -436,7 +398,7 @@ func (t *Table) verifyLogLive() error {
 				}
 			}
 		}
-	}
+	})
 	free := t.vlog.FreeSpans()
 	var bad []string
 	t.vlog.WalkBlobs(func(a pmem.Addr, capBytes uint64, committed bool) {

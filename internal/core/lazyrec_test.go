@@ -13,24 +13,16 @@ import (
 // fast path, the crash path's first-touch gates under concurrency, and the
 // single-use clean marker.
 
-// withLazyGates disables the background recovery driver for the duration of
-// one test, so segments stay unrecovered until the test itself touches them.
-// Tests in this package run sequentially, so flipping the package-level knob
-// is safe.
-func withLazyGates(t *testing.T) {
-	t.Helper()
-	disableBackgroundRecovery.Store(true)
-	t.Cleanup(func() { disableBackgroundRecovery.Store(false) })
-}
-
-// reopenImage restarts a durable pool image, modeling power-up.
+// reopenImage restarts a durable pool image, modeling power-up, without the
+// background recovery driver, so segments stay unrecovered until the test
+// itself touches them.
 func reopenImage(t *testing.T, img []byte) (*Table, *pmem.Pool) {
 	t.Helper()
 	pool, err := pmem.OpenSnapshot(img, pmem.Options{TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Open(pool)
+	tbl, err := OpenWith(pool, Deps{NoBackgroundRecovery: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -73,7 +65,6 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 	tbl.Close()
 	img := pool.Snapshot()
 
-	withLazyGates(t)
 	tbl2, pool2 := reopenImage(t, img)
 	st := tbl2.Stats()
 	if st.Count != want {
@@ -163,7 +154,6 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	}
 	img := pool.Snapshot() // no Close: crash-path image
 
-	withLazyGates(t)
 	tbl2, _ := reopenImage(t, img)
 	segs0 := tbl2.Stats().Segments
 	if segs0 < 3 {
@@ -315,7 +305,6 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 	}
 	img := pool.Snapshot() // crash image
 
-	withLazyGates(t)
 	tbl2, pool2 := reopenImage(t, img)
 	tbl2.Close() // forces RecoverAll, then persists count + clean marker
 

@@ -85,7 +85,6 @@ func sameSpans(a, b map[pmem.Addr]struct{}) bool {
 }
 
 func TestLogSweepCrashResumeDeterministic(t *testing.T) {
-	withLazyGates(t)
 	img, live := buildSweepImage(t)
 
 	// Reference run: full recovery, end-of-sweep invariant, data intact.
@@ -137,8 +136,8 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	if lr == nil {
 		t.Fatal("no lazy recovery state on a crash-path open")
 	}
-	for _, seg := range lr.order {
-		tblA.ensureRecovered(seg)
+	for _, h := range lr.order {
+		tblA.ensureRecovered(h)
 	}
 	durable0 := poolA.Snapshot()
 	sweep := tblA.vlog.SweepStart()

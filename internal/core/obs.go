@@ -64,18 +64,15 @@ func (t *Table) initObs() {
 	// Per-segment filter mirrors.
 	t.filters.hits = reg.Counter("segfilter.hits")
 	t.filters.misses = reg.Counter("segfilter.misses")
-	t.filters.bypass = reg.Counter("segfilter.bypass")
 	t.filters.checks = reg.Counter("segfilter.checks")
 	t.filters.heals = reg.Counter("segfilter.heals")
-	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
+	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.mirrorBytes()) })
 
 	// Per-path read outcome, the §5-style breakdown: which tier served a
 	// read. Derived views over the tier counters — the per-op resolution
 	// lives in the flight recorder's EvGet tags.
 	reg.Gauge("read.path.mirror_served", func() int64 { return int64(t.filters.hits.Total()) })
-	reg.Gauge("read.path.pm_fallback", func() int64 {
-		return int64(t.filters.misses.Total() + t.filters.bypass.Total())
-	})
+	reg.Gauge("read.path.pm_fallback", func() int64 { return int64(t.filters.misses.Total()) })
 	reg.Gauge("read.path.heal", func() int64 { return int64(t.filters.heals.Total()) })
 	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
 

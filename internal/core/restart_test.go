@@ -233,8 +233,8 @@ func TestFirstTouchDedupeCollision(t *testing.T) {
 		}
 		tbl.vlog.Commit(blob)
 		kv := pmem.KV{Key: recPack(blob, len(key)), Value: hash}
-		seg, _ := tbl.cache.route(hashfn.Split(hash))
-		if !segInsertLocked(p, tbl.mirror(seg), seg, hashfn.Split(hash), kv, false, true, tbl.seed) {
+		h := tbl.cache.route(hashfn.Split(hash))
+		if !segInsertLocked(p, h.mir.Load(), h.addr, hashfn.Split(hash), kv, false, true, tbl.seed) {
 			t.Fatal("segment full")
 		}
 		return kv.Key
@@ -252,16 +252,16 @@ func TestFirstTouchDedupeCollision(t *testing.T) {
 	// Verbatim copy of j's inline record in stash bucket 0, tracked by its
 	// home bucket.
 	jp := tbl.parts(j)
-	seg, _ := tbl.cache.route(jp)
+	h := tbl.cache.route(jp)
+	seg, mir := h.addr, h.mir.Load()
 	home := int(jp.BucketIndex(bucketBits))
 	stash := segBucket(seg, normalBuckets)
-	if !bucketInsertLocked(p, nil, stash, normalBuckets, jp.FP, pmem.KV{Key: j, Value: j + 100}, true) {
+	if !bucketInsertLocked(p, mir, stash, normalBuckets, jp.FP, pmem.KV{Key: j, Value: j + 100}, true) {
 		t.Fatal("stash full")
 	}
-	bucketTrackOverflow(p, nil, segBucket(seg, home), home, jp.FP, 0, true)
+	bucketTrackOverflow(p, mir, segBucket(seg, home), home, jp.FP, 0, true)
 
 	img := pool.Snapshot()
-	withLazyGates(t)
 	rt, _ := reopenImage(t, img)
 	if v, ok := rt.Get(k); !ok || v != k+100 {
 		t.Fatalf("inline collision key %d = %d,%v", k, v, ok)

@@ -2,11 +2,9 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"dash/internal/hashfn"
 	"dash/internal/obs"
 	"dash/internal/pmem"
 )
@@ -24,10 +22,11 @@ import (
 //     mutator is mid-flight), the meta word (allocation bitmap + overflow
 //     tracking), both fingerprint words, and all 14 record word pairs —
 //     for inline records the key and value themselves, for indirect
-//     records the packed blob address and the stored full key hash;
-//   - per segment: the header's (local depth, pattern) claim, which lets a
-//     negative lookup validate its route without touching the PM directory
-//     or segment header.
+//     records the packed blob address and the stored full key hash.
+//
+// The mirror hangs off the segment's handle (dircache.go), next to the
+// header's (local depth, pattern) claim, which lets a negative lookup
+// validate its route without touching the PM directory or segment header.
 //
 // Reads therefore probe entirely in DRAM and dereference PM only for
 // record payloads that genuinely live there: an inline hit or any miss
@@ -43,25 +42,25 @@ import (
 //     and copy-on-write update, displacement, stash spill and untrack,
 //     the publish sweep, and the split metadata bump), all inside the
 //     bucket's PM lock with the shadow version odd;
-//   - a split's sibling gets its mirror installed before the split marker
-//     is persisted, i.e. before any migrator or assisting writer can touch
-//     the sibling, so the sibling's mirror is complete the moment the
-//     publish makes the segment reachable;
+//   - a split's sibling handle is built, with its mirror, before the split
+//     marker is persisted, i.e. before any migrator or assisting writer can
+//     touch the sibling, so the sibling's mirror is complete the moment the
+//     publish makes the handle reachable; a rollback never publishes it;
 //   - lock-free readers validate against the shadow seqlock: a scan is
 //     trusted only if the bucket's shadow version was even and unchanged
 //     across it, which makes a stable mirror scan exactly as consistent
 //     as the PM scan it replaces;
-//   - negatives additionally check the mirrored (depth, pattern) claim and
+//   - negatives additionally check the handle's (depth, pattern) claim and
 //     re-read the route afterwards — the DRAM equivalent of
 //     validateRoute. If the DRAM state cannot vouch for a miss, the
 //     operation falls back to the PM path; if PM then says the route was
 //     fine, the mirror itself must be stale and is repaired in place
 //     (mirrorRepair, the cacheRepair of this layer);
-//   - Create installs mirrors segment by segment; Open installs none — each
+//   - Create gives every segment an empty mirror; Open gives none — each
 //     segment's mirror is filled at its first-touch recovery (lazyrec.go)
 //     from the same one read per bucket that decides the recovery drops,
-//     off the restart critical path, and the nil-means-bypass fallback
-//     below covers the window in between;
+//     off the restart critical path, and no operation reaches the segment
+//     before that;
 //   - a hash-sampled cross-check (mirrorMaybeCheck) compares the home
 //     bucket's mirror against PM on ~1/1024 of mirror-served reads, so
 //     even a divergence with no detectable symptom (a poisoned bitmap
@@ -82,14 +81,12 @@ const (
 	mirrorSamplePeriod = 1024
 )
 
-// segMirror is the DRAM mirror of one segment. The object is permanent for
-// its segment address: repairs rewrite it in place, so a writer that
+// segMirror is the DRAM mirror of one segment's buckets. The object is
+// permanent for its handle: repairs rewrite it in place, so a writer that
 // fetched the pointer before a repair keeps writing through to the object
 // being healed — each bucket's PM lock serializes the two.
 type segMirror struct {
-	depth   atomic.Uint64 // mirror of the segment header's local depth
-	pattern atomic.Uint64 // mirror of the segment header's pattern
-	w       [totalBuckets * mirBkWords]atomic.Uint64
+	w [totalBuckets * mirBkWords]atomic.Uint64
 }
 
 // segMirrorBytes is the DRAM footprint one mirror adds, for Stats.
@@ -103,61 +100,27 @@ func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
 	return &m.w[bi*mirBkWords+mirBkRecords+2*slot+j]
 }
 
-// mirClaims is segClaims against the mirrored header words: does this
-// segment's (depth, pattern) claim the key? Pure DRAM.
-func mirClaims(mir *segMirror, parts hashfn.Parts) bool {
-	return hashfn.SegmentIndex(parts.Hash, uint8(mir.depth.Load())) == mir.pattern.Load()
-}
-
-// segFilters is the table's mirror registry plus its observability
-// counters. All counters are goroutine-sharded obs.Counters registered in
-// the table's obs.Registry (initObs) under segfilter.* names, so the
-// every-read increments cannot become a cross-thread hotspot.
+// segFilters holds the mirrors' observability counters: goroutine-sharded
+// obs.Counters registered in the table's obs.Registry (initObs) under
+// segfilter.* names, so the every-read increments cannot become a
+// cross-thread hotspot.
 type segFilters struct {
-	m     sync.Map      // pmem.Addr (segment) → *segMirror
-	bytes atomic.Uint64 // DRAM held by installed mirrors
-
 	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
 	misses *obs.Counter // mirror probes that fell back to the PM path
-	bypass *obs.Counter // reads that found no mirror installed (expected 0)
 	checks *obs.Counter // sampled mirror-vs-PM cross-checks run
 	heals  *obs.Counter // mirrors rebuilt in place after a failed cross-check
 }
 
-// mirror returns seg's installed mirror, or nil (the PM fallback then
-// serves the operation and counts a bypass).
-func (t *Table) mirror(seg pmem.Addr) *segMirror {
-	if v, ok := t.filters.m.Load(seg); ok {
-		return v.(*segMirror)
-	}
-	return nil
-}
-
-// mirrorInstall registers a fresh zeroed mirror for seg carrying the given
-// header claim. Callers install before the segment becomes reachable
-// (Create formats unpublished segments; a split installs the sibling's
-// mirror before persisting the split marker), so no concurrent writer can
-// hold a previous object for this address.
-func (t *Table) mirrorInstall(seg pmem.Addr, depth uint8, pattern uint64) *segMirror {
-	mir := &segMirror{}
-	mir.depth.Store(uint64(depth))
-	mir.pattern.Store(pattern)
-	if _, loaded := t.filters.m.Load(seg); !loaded {
-		t.filters.bytes.Add(segMirrorBytes)
-	}
-	t.filters.m.Store(seg, mir)
-	return mir
-}
-
-// mirrorDrop forgets seg's mirror — the rollback path of a failed split,
-// whose sibling is leaked. An assisting writer that already fetched the
-// pointer may keep writing into the orphaned object; that is harmless,
-// since nothing ever routes to the leaked segment again.
-func (t *Table) mirrorDrop(seg pmem.Addr) {
-	if _, loaded := t.filters.m.Load(seg); loaded {
-		t.filters.m.Delete(seg)
-		t.filters.bytes.Add(^(segMirrorBytes - 1))
-	}
+// mirrorBytes is the DRAM held by the mirrors of the view's recovered
+// handles.
+func (t *Table) mirrorBytes() uint64 {
+	n := uint64(0)
+	eachHandle(t.cache.view.Load(), func(h *segHandle) {
+		if h.mir.Load() != nil {
+			n++
+		}
+	})
+	return n * segMirrorBytes
 }
 
 // mirrorFillBucket copies one bucket's PM words into the mirror. The
@@ -189,21 +152,21 @@ func mirrorCopyBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) uint6
 	return m
 }
 
-// mirrorRepair reconciles seg's mirror with PM truth in place, bucket by
-// bucket under each bucket's PM lock — cacheRepair one layer down. The
-// header claim is copied first, under bucket 0's lock: a publish mutates
-// the header only while holding every bucket lock, so holding any one of
-// them excludes it.
-func (t *Table) mirrorRepair(seg pmem.Addr, mir *segMirror) {
+// mirrorRepair reconciles h's claim and mirror with PM truth in place,
+// bucket by bucket under each bucket's PM lock — cacheRepair one layer
+// down. The header claim is copied first, under bucket 0's lock: a publish
+// mutates the header only while holding every bucket lock, so holding any
+// one of them excludes it.
+func (t *Table) mirrorRepair(h *segHandle) {
 	p := t.pool
+	seg, mir := h.addr, h.mir.Load()
 	t.filters.heals.Inc()
 	t.fr.Record(obs.EvMirrorHeal, obs.TagNone, uint64(seg), 0)
 	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)
 		lockBucket(p, mir, ba, bi)
 		if bi == 0 {
-			mir.depth.Store(p.LoadU64(seg.Add(segOffDepth)))
-			mir.pattern.Store(p.QuietLoadU64(seg.Add(segOffPattern)))
+			h.setClaim(segDepth(p, seg), p.QuietLoadU64(seg.Add(segOffPattern)))
 		}
 		mirrorFillBucket(p, mir, seg, bi)
 		unlockBucket(p, mir, ba, bi)
@@ -212,13 +175,14 @@ func (t *Table) mirrorRepair(seg pmem.Addr, mir *segMirror) {
 
 // --- lock-free mirror probes (the read path) ---
 
-// mirBucketSearch scans one mirrored bucket under its shadow seqlock, the
-// DRAM twin of bucketSearchOpt: it loops until a scan completes under an
-// unchanged even shadow version, so the returned record words — and the
-// meta/fingerprint words handed back for overflow-probing decisions — form
-// a consistent snapshot of the bucket. An indirect candidate's blob is
-// verified (and fully charged) during the scan; a match through a slot
-// that mutated mid-scan is discarded by the version recheck.
+// mirBucketSearch scans one mirrored bucket under its shadow seqlock (the
+// DRAM side of the contract lockBucket/unlockBucket keep with the PM
+// version word): it loops until a scan completes under an unchanged even
+// shadow version, so the returned record words — and the meta/fingerprint
+// words handed back for overflow-probing decisions — form a consistent
+// snapshot of the bucket. An indirect candidate's blob is verified (and
+// fully charged) during the scan; a match through a slot that mutated
+// mid-scan is discarded by the version recheck.
 func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv pmem.KV, blobHot, found bool, m, hi uint64) {
 	ver := mir.word(bi, mirBkVersion)
 	for {
@@ -248,9 +212,10 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv 
 	}
 }
 
-// mirSegSearch probes the mirrored segment like segSearchOpt: candidate
-// pair fingerprint-first, then the home bucket's overflow metadata into the
-// stash. Zero PM traffic except the blob read of an indirect hit.
+// mirSegSearch probes the mirrored segment: candidate pair
+// fingerprint-first, then the home bucket's overflow metadata into the
+// stash (the order segFindLocked uses). Zero PM traffic except the blob
+// read of an indirect hit.
 func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey) (pmem.KV, bool, bool) {
 	b := int(pk.parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
@@ -289,13 +254,13 @@ func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey) (pmem.KV, bool,
 // hot-path symptom: a mirror that silently lost a slot answers misses that
 // nothing else would ever question. A detected mismatch heals the whole
 // segment's mirror.
-func (t *Table) mirrorMaybeCheck(seg pmem.Addr, mir *segMirror, pk *probeKey) {
+func (t *Table) mirrorMaybeCheck(h *segHandle, mir *segMirror, pk *probeKey) {
 	if (pk.parts.Hash>>20)&t.mirrorSampleMask != 0 {
 		return
 	}
 	t.filters.checks.Inc()
-	if !t.mirrorBucketMatchesPM(seg, mir, int(pk.parts.BucketIndex(bucketBits))) {
-		t.mirrorRepair(seg, mir)
+	if !t.mirrorBucketMatchesPM(h.addr, mir, int(pk.parts.BucketIndex(bucketBits))) {
+		t.mirrorRepair(h)
 	}
 }
 
@@ -339,19 +304,20 @@ func (t *Table) mirrorBucketMatchesPM(seg pmem.Addr, mir *segMirror, bi int) boo
 	return ok
 }
 
-// mirrorVerifySeg compares one segment's whole mirror against PM with
-// quiet loads — the quiescent-state debugging/test oracle behind the
-// coherence tests. Returns the number of mismatching buckets (header
-// claims count as bucket 0). Only meaningful while no writer runs.
-func (t *Table) mirrorVerifySeg(seg pmem.Addr) int {
+// mirrorVerifySeg compares one handle's claim and whole mirror against PM
+// with quiet loads — the quiescent-state debugging/test oracle behind the
+// coherence tests. Returns the number of mismatching buckets (a wrong
+// claim counts as one more; an unrecovered handle fails every bucket).
+// Only meaningful while no writer runs.
+func (t *Table) mirrorVerifySeg(h *segHandle) int {
 	p := t.pool
-	mir := t.mirror(seg)
+	seg, mir := h.addr, h.mir.Load()
 	if mir == nil {
 		return totalBuckets
 	}
 	bad := 0
-	if mir.depth.Load() != p.QuietLoadU64(seg.Add(segOffDepth)) ||
-		mir.pattern.Load() != p.QuietLoadU64(seg.Add(segOffPattern)) {
+	if l, pat := h.loadClaim(); uint64(l) != p.QuietLoadU64(seg.Add(segOffDepth)) ||
+		pat != p.QuietLoadU64(seg.Add(segOffPattern)) {
 		bad++
 	}
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -375,19 +341,10 @@ func (t *Table) mirrorVerifySeg(seg pmem.Addr) int {
 	return bad
 }
 
-// mirrorVerifyAll is mirrorVerifySeg over every directory-reachable
-// segment; the quiescent coherence oracle for tests.
+// mirrorVerifyAll is mirrorVerifySeg over every handle of the view; the
+// quiescent coherence oracle for tests.
 func (t *Table) mirrorVerifyAll() int {
-	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
 	bad := 0
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
-		}
-		seen[seg] = true
-		bad += t.mirrorVerifySeg(seg)
-	}
+	eachHandle(t.cache.view.Load(), func(h *segHandle) { bad += t.mirrorVerifySeg(h) })
 	return bad
 }

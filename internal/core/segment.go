@@ -99,18 +99,13 @@ func segClaims(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts) bool {
 	return hashfn.SegmentIndex(parts.Hash, l) == segPattern(p, seg)
 }
 
-// segSetMeta updates local depth and pattern and persists the header line,
-// writing through to the segment's DRAM mirror when one is attached. The
-// only concurrent caller is the split publish, which holds every bucket
-// lock, so mirror readers cannot observe the claim mid-change.
-func segSetMeta(p *pmem.Pool, mir *segMirror, seg pmem.Addr, depth uint8, pattern uint64) {
+// segSetMeta updates local depth and pattern and persists the header line.
+// Callers set the same claim on the segment's handle; the only concurrent
+// caller is the split publish, which holds every bucket lock.
+func segSetMeta(p *pmem.Pool, seg pmem.Addr, depth uint8, pattern uint64) {
 	p.StoreU64(seg.Add(segOffDepth), uint64(depth))
 	p.StoreU64(seg.Add(segOffPattern), pattern)
 	p.Persist(seg, segHeaderSize)
-	if mir != nil {
-		mir.depth.Store(uint64(depth))
-		mir.pattern.Store(pattern)
-	}
 }
 
 // segInit zeroes a freshly allocated segment and writes its header. The
@@ -326,42 +321,6 @@ func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts
 	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked, persist)
 }
 
-// segSearchOpt is the lock-free read path: probe the candidate pair
-// fingerprint-first, then follow the home bucket's overflow metadata into
-// the stash. Each bucket scan is individually version-stable; cross-bucket
-// races are caught by the table layer's directory revalidation. The match
-// is returned as the raw record words — the caller extracts the value in
-// whichever representation it needs (blob bytes stay valid under its epoch
-// guard).
-func segSearchOpt(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (pmem.KV, bool) {
-	b := int(pk.parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	kv, found, m, hi := bucketSearchOpt(p, vl, segBucket(seg, b), pk)
-	if found {
-		return kv, true
-	}
-	if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, b2), pk); f2 {
-		return kv2, true
-	}
-	for i := 0; i < maxOvSlots; i++ {
-		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
-			continue
-		}
-		j := ovIdxGet(hi, i)
-		if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, normalBuckets+j), pk); f2 {
-			return kv2, true
-		}
-	}
-	if metaOvCount(m) > 0 {
-		for j := 0; j < stashBuckets; j++ {
-			if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, normalBuckets+j), pk); f2 {
-				return kv2, true
-			}
-		}
-	}
-	return pmem.KV{}, false
-}
-
 // segSweepBatched removes every record for which drop returns true with one
 // header store + flush per *bucket* instead of per record, plus a single
 // fence at the end — the persist-batched sweep the split publish runs while
@@ -435,9 +394,7 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 		}
 		a := segBucket(seg, bi).Add(bkOffMeta)
 		p.QuietStoreU64(a, metas[bi]) // header line paid by the caller's lock
-		if mir != nil {
-			mir.word(bi, mirBkMeta).Store(metas[bi])
-		}
+		mir.word(bi, mirBkMeta).Store(metas[bi])
 		p.Flush(a, 8)
 		if !fenced && hookMidSweep != nil {
 			// Crash-injection point: first meta line flushed, fence and the

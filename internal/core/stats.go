@@ -1,18 +1,17 @@
 package core
 
-import (
-	"dash/internal/pmem"
-)
-
 // Table-shape introspection for the benchmark harness and tests: everything
 // an observer needs to reason about load factor, directory growth and stash
 // pressure without reaching into the layer internals.
 
-// TableStats is a point-in-time structural snapshot of a Table.
+// TableStats is a point-in-time structural snapshot of a Table, taken by
+// one walk over the distinct segment handles of the DRAM directory cache
+// (one handle per segment, carrying its address, claim and filter mirror).
 //
 // Taken concurrently with writers it is approximate — per-bucket occupancy
-// words are read atomically but not mutually consistently — which is the
-// right trade for a monitoring surface: it never blocks the data path.
+// words are read atomically but not mutually consistently, and a split
+// publishing mid-walk can make one segment count twice — which is the right
+// trade for a monitoring surface: it never blocks the data path.
 type TableStats struct {
 	// Count is the number of live records (exact, from the table's counter).
 	Count int64
@@ -63,13 +62,16 @@ type TableStats struct {
 	LogFreeBytes  uint64
 
 	// Segment filter mirror (segfilter.go) accounting. SegFilterBytes is the
-	// DRAM held by installed per-segment mirrors. Hits are reads fully served
-	// by a mirror (positive, or a miss the mirror could vouch for); Misses
-	// are probes that fell back to the PM path; Bypass counts reads that
-	// found no mirror installed (expected 0 outside recovery windows).
-	// Checks counts sampled mirror-vs-PM cross-checks, Heals in-place mirror
-	// repairs (sampled check or validation disagreement). Counters are
-	// cumulative since Create/Open; windowed consumers subtract a baseline.
+	// DRAM held by mirrors: recovered handles × the size of one mirror (a
+	// handle still awaiting first touch after Open holds none). Hits are
+	// reads fully served by a mirror (positive, or a miss the mirror could
+	// vouch for); Misses are probes whose DRAM answer needed PM validation.
+	// Bypass is 0 by construction — every read gates on its segment's
+	// first-touch recovery, which fills the mirror — and stays for the
+	// bench JSON schema. Checks counts sampled mirror-vs-PM cross-checks,
+	// Heals in-place mirror repairs (sampled check or validation
+	// disagreement). Counters are cumulative since Create/Open; windowed
+	// consumers subtract a baseline.
 	SegFilterBytes  uint64
 	SegFilterHits   uint64
 	SegFilterMisses uint64
@@ -126,44 +128,42 @@ type TableStats struct {
 	RecoveryPendingSegments int64
 }
 
-// Stats walks the DRAM directory cache for the segment set — observing the
-// shape costs no PM directory traffic at all — and every segment's bucket
-// headers via quiet (unaccounted) loads, so observing the table does not
-// perturb the PM-traffic counters or the cost model mid-benchmark. It takes
-// no locks; the epoch guard keeps the walk well-defined against concurrent
-// structural changes.
+// Stats walks the segment handles of the DRAM directory cache — observing
+// the shape costs no PM directory traffic at all — and every segment's
+// bucket headers via quiet (unaccounted) loads, so observing the table does
+// not perturb the PM-traffic counters or the cost model mid-benchmark. It
+// takes no locks; the epoch guard keeps the walk well-defined against
+// concurrent structural changes.
 func (t *Table) Stats() TableStats {
 	g := t.em.Enter()
 	defer g.Exit()
 	p := t.pool
 
 	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
-	var walked, stash int64
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
+	var segs, mirrors, walked, stash int64
+	eachHandle(v, func(h *segHandle) {
+		segs++
+		if h.mir.Load() != nil {
+			mirrors++
 		}
-		seen[seg] = true
 		for bi := 0; bi < totalBuckets; bi++ {
-			m := p.QuietLoadU64(segBucket(seg, bi).Add(bkOffMeta))
+			m := p.QuietLoadU64(segBucket(h.addr, bi).Add(bkOffMeta))
 			used := int64(slotsPerBucket - metaFreeSlots(m))
 			walked += used
 			if bi >= normalBuckets {
 				stash += used
 			}
 		}
-	}
+	})
 
 	hits, misses := t.cache.hits.Total(), t.cache.misses.Total()
-	fhits, fmisses, fbypass := t.filters.hits.Total(), t.filters.misses.Total(), t.filters.bypass.Total()
+	fhits, fmisses := t.filters.hits.Total(), t.filters.misses.Total()
 	lg := t.vlog.Stats()
 	st := TableStats{
 		Count:            t.count.Load(),
 		GlobalDepth:      v.depth,
-		Segments:         len(seen),
-		SlotCapacity:     int64(len(seen)) * slotsPerSegment,
+		Segments:         int(segs),
+		SlotCapacity:     segs * slotsPerSegment,
 		StashRecords:     stash,
 		AllocatedBytes:   p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)) - allocStart,
 		DirCacheHits:     hits,
@@ -171,10 +171,9 @@ func (t *Table) Stats() TableStats {
 		DirCacheHitRate:  1,
 		DirCacheRebuilds: t.cache.rebuilds.Total(),
 		DirCacheBytes:    8 * uint64(len(v.entries)),
-		SegFilterBytes:   t.filters.bytes.Load(),
+		SegFilterBytes:   uint64(mirrors) * segMirrorBytes,
 		SegFilterHits:    fhits,
 		SegFilterMisses:  fmisses,
-		SegFilterBypass:  fbypass,
 		SegFilterHitRate: 1,
 		SegFilterChecks:  t.filters.checks.Total(),
 		SegFilterHeals:   t.filters.heals.Total(),
@@ -205,7 +204,7 @@ func (t *Table) Stats() TableStats {
 	if hits+misses > 0 {
 		st.DirCacheHitRate = float64(hits) / float64(hits+misses)
 	}
-	if n := fhits + fmisses + fbypass; n > 0 {
+	if n := fhits + fmisses; n > 0 {
 		st.SegFilterHitRate = float64(fhits) / float64(n)
 	}
 	if st.SlotCapacity > 0 {

@@ -150,12 +150,13 @@ type Table struct {
 	vlog *pmem.VarLog
 
 	// cache is the DRAM-resident mirror of the PM directory (dircache.go),
-	// the first stop of every operation's key → segment routing.
+	// the first stop of every operation's key → segment routing. Each entry
+	// points at its segment's handle, which carries the segment's filter
+	// mirror (segfilter.go): reads probe buckets in DRAM and touch PM only
+	// for blob payloads.
 	cache dirCache
 
-	// filters is the per-segment DRAM filter mirror registry (segfilter.go),
-	// the cache's counterpart one layer down: reads probe buckets in DRAM
-	// and touch PM only for blob payloads. mirrorSampleMask tunes the
+	// filters counts the mirrors' outcomes. mirrorSampleMask tunes the
 	// sampled mirror-vs-PM cross-check (period-1; 0 checks every
 	// mirror-served read — the deterministic mode coherence tests use).
 	filters          segFilters
@@ -177,7 +178,7 @@ type Table struct {
 	// lazy is the deferred-recovery side table built by Open (lazyrec.go):
 	// non-nil while any segment still awaits its first-touch recovery or the
 	// background record-log sweep is unfinished. Nil on a created table and
-	// after recovery completes, restoring the ungated hot path.
+	// after recovery completes.
 	lazy atomic.Pointer[lazyRecovery]
 
 	// splits counts completed segment splits; splitStallNS accumulates the
@@ -253,6 +254,7 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 
 	nseg := 1 << opt.InitialDepth
 	segs := make([]pmem.Addr, nseg)
+	hs := make([]*segHandle, nseg)
 	for i := range segs {
 		seg, err := t.alloc(segmentSize)
 		if err != nil {
@@ -260,8 +262,8 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 		}
 		segInit(p, seg, opt.InitialDepth, uint64(i))
 		segPersist(p, seg)
-		t.mirrorInstall(seg, opt.InitialDepth, uint64(i))
 		segs[i] = seg
+		hs[i] = newSegHandle(seg, opt.InitialDepth, uint64(i), &segMirror{})
 	}
 	dir, err := t.alloc(dirSize(opt.InitialDepth))
 	if err != nil {
@@ -272,7 +274,7 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 	// Magic last: its persist is the commit point of formatting.
 	p.WriteU64(rootAddr.Add(rootOffMagic), tableMagic)
 	p.Persist(rootAddr, pmem.CachelineSize)
-	t.cacheRebuild()
+	t.cacheInstall(dir, opt.InitialDepth, hs)
 	return t, nil
 }
 
@@ -321,7 +323,7 @@ func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	if err := t.recoverLazy(clean); err != nil {
 		return nil, err
 	}
-	if lr := t.lazy.Load(); lr != nil && !deps.NoBackgroundRecovery && !disableBackgroundRecovery.Load() {
+	if lr := t.lazy.Load(); lr != nil && !deps.NoBackgroundRecovery {
 		go t.driveRecovery(lr)
 	}
 	return t, nil
@@ -539,9 +541,8 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
+		h := t.cache.route(parts)
+		mir, seg := t.ensureRecovered(h), h.addr
 		lockPair(p, mir, seg, b, b2)
 		if !t.validateRoute(parts, seg) {
 			unlockPair(p, mir, seg, b, b2)
@@ -555,7 +556,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			return ErrKeyExists
 		}
 		if segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistInsert(sib, pk, kv) {
+			if sib := t.splitSibling(h, parts); sib != nil && !t.assistInsert(sib, pk, kv) {
 				// The in-flight split's sibling cannot absorb the key's
 				// copy: the split is overflowing pathologically. Undo and
 				// surface it, matching what the migrator will report.
@@ -570,7 +571,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			return nil
 		}
 		unlockPair(p, mir, seg, b, b2)
-		if err := t.split(parts, seg); err != nil {
+		if err := t.split(parts, h); err != nil {
 			return err
 		}
 	}
@@ -628,10 +629,10 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 //     the directory routes it to, and the mirror's shadow seqlock makes a
 //     stable scan equivalent to a stable PM scan). blobHot reports that an
 //     indirect hit's blob was already charged in full by the probe.
-//   - a mirror miss is trusted entirely in DRAM when (a) the mirrored
-//     segment header still claims the key and (b) the route, re-read after
-//     the scans, still names this segment. That ordering is what makes it
-//     sound: a split publish updates the directory cache and the mirrored
+//   - a mirror miss is trusted entirely in DRAM when (a) the handle's
+//     claim still covers the key and (b) the route, re-read after the
+//     scans, still names this handle. That ordering is what makes it
+//     sound: a split publish updates the directory cache and the handle's
 //     claim while holding every bucket lock, so any record this probe's
 //     stable per-bucket scans could have missed (swept to the sibling)
 //     implies the publish unlocked before some scan — and then the
@@ -645,51 +646,31 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 // against silent mirror corruption. The returned record words stay
 // interpretable under the caller's epoch guard.
 func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool, bool) {
-	p := t.pool
 	for {
-		seg, _ := t.cache.route(pk.parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
-		if mir == nil {
-			// No mirror installed (unexpected steady-state): PM path.
-			t.filters.bypass.Inc()
-			pk.path = obs.PathPMFallback
-			if kv, found := segSearchOpt(p, t.vlog, seg, pk); found {
-				t.cache.hits.Inc()
-				return kv, false, true
-			}
-			if t.validateRoute(pk.parts, seg) {
-				t.cache.hits.Inc()
-				return pmem.KV{}, false, false
-			}
-			t.cache.misses.Inc()
-			t.cacheRepair(pk.parts)
-			continue
-		}
+		h := t.cache.route(pk.parts)
+		mir := t.ensureRecovered(h)
 		kv, blobHot, found := mirSegSearch(t.vlog, mir, pk)
 		if found {
 			t.cache.hits.Inc()
 			t.filters.hits.Inc()
 			pk.path = obs.PathMirrorHit
-			t.mirrorMaybeCheck(seg, mir, pk)
+			t.mirrorMaybeCheck(h, mir, pk)
 			return kv, blobHot, true
 		}
-		if mirClaims(mir, pk.parts) {
-			if seg2, _ := t.cache.route(pk.parts); seg2 == seg {
-				t.cache.hits.Inc()
-				t.filters.hits.Inc()
-				pk.path = obs.PathMirrorNeg
-				t.mirrorMaybeCheck(seg, mir, pk)
-				return pmem.KV{}, false, false
-			}
+		if h.claims(pk.parts) && t.cache.route(pk.parts) == h {
+			t.cache.hits.Inc()
+			t.filters.hits.Inc()
+			pk.path = obs.PathMirrorNeg
+			t.mirrorMaybeCheck(h, mir, pk)
+			return pmem.KV{}, false, false
 		}
 		t.filters.misses.Inc()
-		if t.validateRoute(pk.parts, seg) {
+		if t.validateRoute(pk.parts, h.addr) {
 			// PM vouches for the route the DRAM state would not: the
-			// mirror (claim or directory cache entry) is out of sync with
-			// PM. Heal the mirror and retry; a stale cache entry instead
-			// fails the validation below and repairs there.
-			t.mirrorRepair(seg, mir)
+			// handle's claim or mirror is out of sync with PM. Heal both
+			// and retry; a stale cache entry instead fails the validation
+			// and repairs below.
+			t.mirrorRepair(h)
 			continue
 		}
 		t.cache.misses.Inc()
@@ -725,9 +706,8 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
+		h := t.cache.route(parts)
+		mir, seg := t.ensureRecovered(h), h.addr
 		lockPair(p, mir, seg, b, b2)
 		if !t.validateRoute(parts, seg) {
 			unlockPair(p, mir, seg, b, b2)
@@ -740,7 +720,7 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 		if found {
 			w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
 			segDeleteAt(p, mir, seg, parts, loc, true, true)
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			if sib := t.splitSibling(h, parts); sib != nil {
 				t.assistDelete(sib, pk)
 			}
 			if recIsIndirect(w0) {
@@ -831,9 +811,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	}
 	inline8 := vb == nil || len(vb) == 8
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
+		h := t.cache.route(parts)
+		mir, seg := t.ensureRecovered(h), h.addr
 		lockPair(p, mir, seg, b, b2)
 		if !t.validateRoute(parts, seg) {
 			unlockPair(p, mir, seg, b, b2)
@@ -858,14 +837,12 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			}
 			p.WriteValue(ra, v)
 			p.Persist(ra.Add(8), 8)
-			if mir != nil {
-				// Single-word mirror store; for a stash-resident record it
-				// happens outside the stash bucket's lock, which is exactly
-				// the PM store's own discipline — readers see the old or
-				// the new word, both linearizable.
-				mir.recWord(loc.bucket, loc.slot, 1).Store(v)
-			}
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			// Single-word mirror store; for a stash-resident record it
+			// happens outside the stash bucket's lock, which is exactly the
+			// PM store's own discipline — readers see the old or the new
+			// word, both linearizable.
+			mir.recWord(loc.bucket, loc.slot, 1).Store(v)
+			if sib := t.splitSibling(h, parts); sib != nil {
 				t.assistUpdate(sib, pk, pmem.KV{Key: w0, Value: v})
 			}
 			unlockPair(p, mir, seg, b, b2)
@@ -900,10 +877,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			// Copy-on-write flip: word 1 already holds the key's hash.
 			p.StoreU64(ra, kv.Key)
 			p.Persist(ra, 8)
-			if mir != nil {
-				mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-			}
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
+			if sib := t.splitSibling(h, parts); sib != nil {
 				t.assistUpdate(sib, pk, kv)
 			}
 			t.retireBlob(recBlobAddr(w0))
@@ -917,13 +892,13 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// key exists at least once and at most twice (deduped by recovery).
 		if !segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
-			if err := t.split(parts, seg); err != nil {
+			if err := t.split(parts, h); err != nil {
 				freeBlob()
 				return true, err
 			}
 			continue
 		}
-		if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistConvert(sib, pk, kv) {
+		if sib := t.splitSibling(h, parts); sib != nil && !t.assistConvert(sib, pk, kv) {
 			// Sibling cannot absorb the converted record: roll the
 			// conversion back (delete the new record, old value intact).
 			// The deleted record was transiently published — a stash
@@ -969,8 +944,9 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 // recovery clears the marker and the block leaks. A crash after it leaves
 // the directory image authoritative: recovery completes the flips, fixes
 // metadata and sweeps duplicates exactly as under the old protocol.
-func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
+func (t *Table) split(parts hashfn.Parts, h *segHandle) error {
 	p := t.pool
+	oldSeg := h.addr
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
 	spa := oldSeg.Add(segOffSplit)
 	if !p.CompareAndSwapU64(spa, 0, splitStateInFlight) {
@@ -1005,11 +981,12 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 		return err
 	}
 	segInit(p, newSeg, l+1, pat<<1|1)
-	// The sibling's mirror must exist before the marker publishes the
-	// sibling to assisting writers: from the first assist on, every sibling
-	// mutation writes through, so the mirror is complete at publish time
-	// with no rebuild pass.
-	t.mirrorInstall(newSeg, l+1, pat<<1|1)
+	// The sibling's handle and mirror must exist before the marker
+	// publishes the sibling to assisting writers: from the first assist on,
+	// every sibling mutation writes through, so the mirror is complete at
+	// publish time with no rebuild pass.
+	sib := newSegHandle(newSeg, l+1, pat<<1|1, &segMirror{})
+	h.sib.Store(sib)
 
 	// Snapshot the assist counter before the marker becomes visible: any
 	// assist that could race the copy loop bumps it past a0, which is what
@@ -1022,7 +999,7 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 	}
 
 	mstart := obs.Now()
-	sc, ok := t.splitMigrate(oldSeg, newSeg, l, a0)
+	sc, ok := t.splitMigrate(h, sib, l, a0)
 	t.met.splitMigrateNS.Record(obs.Now() - mstart)
 	defer splitScanPool.Put(sc)
 	if !ok {
@@ -1030,16 +1007,16 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 		// marker. The sibling is leaked rather than reused — an assisting
 		// writer that read the marker just before the clear may still be
 		// writing into it under its bucket locks (and through a fetched
-		// mirror pointer; the dropped mirror object absorbs those stores
-		// harmlessly, since nothing routes to the leaked segment).
+		// handle, whose mirror absorbs those stores harmlessly, since the
+		// handle is never published).
 		p.StoreU64(spa, 0)
 		p.Persist(spa, 8)
-		t.mirrorDrop(newSeg)
+		h.sib.Store(nil)
 		t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 		return ErrSegmentOverflow
 	}
 	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
-	return t.splitPublish(oldSeg, newSeg, l, pat, sc)
+	return t.splitPublish(h, sib, l, pat, sc)
 }
 
 // splitMigrate copies every record the sibling claims from oldSeg into the
@@ -1094,13 +1071,14 @@ type splitCand struct {
 	rp   hashfn.Parts
 }
 
-func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*splitScan, bool) {
+func (t *Table) splitMigrate(h, sib *segHandle, l uint8, a0 uint64) (*splitScan, bool) {
 	p := t.pool
-	oldMir, newMir := t.mirror(oldSeg), t.mirror(newSeg)
+	oldSeg, newSeg := h.addr, sib.addr
+	newMir := sib.mir.Load()
 
 	// Phase 1 — optimistic scan, no locks: migration never mutates the old
 	// segment, so each bucket is snapshotted seqlock-style (stable version
-	// across the scan, like bucketSearchOpt). The whole segment is charged
+	// across the scan). The whole segment is charged
 	// as one streaming read up front — a sequential sweep of its lines,
 	// exactly what the hardware prefetcher would serve — and the per-word
 	// loads are quiet (one-charge-per-line).
@@ -1211,7 +1189,7 @@ func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*spl
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(oldSeg, normalBuckets+j)
 		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !t.splitCopyStashSlot(oldMir, newMir, oldSeg, newSeg, sa, slot, l, a0) {
+			if !t.splitCopyStashSlot(h, sib, sa, slot, l, a0) {
 				return sc, false
 			}
 		}
@@ -1227,8 +1205,10 @@ func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*spl
 // optimistically, its home pair locked, and the slot re-verified under the
 // locks; a slot that changed identity in between is retried with the new
 // key (bounded in practice: slots change only while writers win the race).
-func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa pmem.Addr, slot int, l uint8, a0 uint64) bool {
+func (t *Table) splitCopyStashSlot(h, sib *segHandle, sa pmem.Addr, slot int, l uint8, a0 uint64) bool {
 	p := t.pool
+	oldSeg, newSeg := h.addr, sib.addr
+	oldMir, newMir := h.mir.Load(), sib.mir.Load()
 	for {
 		m := p.LoadU64(sa.Add(bkOffMeta))
 		if !metaSlotUsed(m, slot) {
@@ -1273,9 +1253,10 @@ func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa
 // bucket, and the DRAM directory cache is written through — only then do
 // the locks release. The stall this window causes is accumulated in
 // splitStallNS.
-func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *splitScan) error {
+func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitScan) error {
 	p := t.pool
-	oldMir := t.mirror(oldSeg)
+	oldSeg, newSeg := h.addr, sib.addr
+	oldMir := h.mir.Load()
 	begin := time.Now()
 	for i := 0; i < totalBuckets; i++ {
 		lockBucket(p, oldMir, segBucket(oldSeg, i), i)
@@ -1306,10 +1287,10 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 		newDir, err := t.alloc(dirSize(g + 1))
 		if err != nil {
 			// Nothing is published yet: roll back like a migration
-			// failure. The sibling is leaked, its mirror dropped.
+			// failure. The sibling is leaked, its handle never published.
 			p.StoreU64(oldSeg.Add(segOffSplit), 0)
 			p.Persist(oldSeg.Add(segOffSplit), 8)
-			t.mirrorDrop(newSeg)
+			h.sib.Store(nil)
 			t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 			return err
 		}
@@ -1343,7 +1324,9 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 	// from here a crash rolls forward through recovery's directory-driven
 	// reconciliation.
 	p.StoreU64(oldSeg.Add(segOffSplit), 0)
-	segSetMeta(p, oldMir, oldSeg, l+1, pat<<1)
+	segSetMeta(p, oldSeg, l+1, pat<<1)
+	h.setClaim(l+1, pat<<1)
+	h.sib.Store(nil)
 	// Sweep by the scan's moved-slot bitmaps wherever the bucket's seqlock
 	// version proves it unchanged since the scan (+1 is our own lock);
 	// mutated buckets and the stash are re-scanned.
@@ -1361,26 +1344,32 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to
 	// newSeg.
-	t.cachePublishSplit(oldSeg, newSeg, l+1, estart, span)
+	t.cachePublishSplit(sib, estart, span)
 	t.splits.Add(1)
 	return nil
 }
 
-// splitSibling returns the sibling of an in-flight split of seg when that
-// sibling claims the key's hash, or null. The caller holds the key's bucket
-// locks in seg: a split cannot publish (which is what retires the marker)
-// without those locks, so a non-null sibling stays valid until they are
-// released.
-func (t *Table) splitSibling(seg pmem.Addr, parts hashfn.Parts) pmem.Addr {
-	st := segSplitState(t.pool, seg)
+// splitSibling returns the sibling handle of an in-flight split of h's
+// segment when that sibling claims the key's hash, or nil. The PM marker
+// decides; the handle only supplies the sibling's mirror. The caller holds
+// the key's bucket locks in the segment: a split cannot publish (which is
+// what retires the marker) without those locks, so a non-nil sibling stays
+// valid until they are released. A handle that no longer names the
+// marker's sibling means that split rolled back, and nothing needs the
+// assist.
+func (t *Table) splitSibling(h *segHandle, parts hashfn.Parts) *segHandle {
+	st := segSplitState(t.pool, h.addr)
 	if st&splitStateInFlight == 0 {
-		return pmem.Null
+		return nil
 	}
 	sib := splitStateSibling(st)
 	if sib.IsNull() || !segClaims(t.pool, sib, parts) {
-		return pmem.Null
+		return nil
 	}
-	return sib
+	if s := h.sib.Load(); s != nil && s.addr == sib {
+		return s
+	}
+	return nil
 }
 
 // assistInsert mirrors a fresh insert into the unpublished sibling of an
@@ -1389,13 +1378,13 @@ func (t *Table) splitSibling(seg pmem.Addr, parts hashfn.Parts) pmem.Addr {
 // Reports false when the sibling cannot absorb the copy, i.e. the split is
 // overflowing pathologically. Durability is deferred to the publish's
 // whole-segment persist, like every pre-publish sibling write.
-func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
+func (t *Table) assistInsert(sh *segHandle, pk *probeKey, kv pmem.KV) bool {
 	// Count before touching the sibling: the migrator reads the counter
 	// under bucket locks ordered after this store, so a nonzero delta is
 	// visible before any duplicate can be.
 	t.splitAssists.Add(1)
 	p := t.pool
-	sibMir := t.mirror(sib)
+	sib, sibMir := sh.addr, sh.mir.Load()
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
@@ -1418,9 +1407,9 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 // assistDelete mirrors a delete into the sibling of an in-flight split: if
 // the migrator already copied the record, the copy must die too or the key
 // would resurrect when the split publishes.
-func (t *Table) assistDelete(sib pmem.Addr, pk *probeKey) {
+func (t *Table) assistDelete(sh *segHandle, pk *probeKey) {
 	p := t.pool
-	sibMir := t.mirror(sib)
+	sib, sibMir := sh.addr, sh.mir.Load()
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
@@ -1439,9 +1428,9 @@ func (t *Table) assistDelete(sib pmem.Addr, pk *probeKey) {
 // the migrator has not made yet needs nothing: the migrator copies the
 // record's *current* words under the home bucket's lock, and its sibling
 // critical section serializes with this one.
-func (t *Table) assistUpdate(sib pmem.Addr, pk *probeKey, kv pmem.KV) {
+func (t *Table) assistUpdate(sh *segHandle, pk *probeKey, kv pmem.KV) {
 	p := t.pool
-	sibMir := t.mirror(sib)
+	sib, sibMir := sh.addr, sh.mir.Load()
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
@@ -1450,10 +1439,8 @@ func (t *Table) assistUpdate(sib pmem.Addr, pk *probeKey, kv pmem.KV) {
 		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
 		p.StoreU64(ra.Add(8), kv.Value)
 		p.StoreU64(ra, kv.Key)
-		if sibMir != nil {
-			sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-		}
+		sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
+		sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 }
@@ -1464,10 +1451,10 @@ func (t *Table) assistUpdate(sib pmem.Addr, pk *probeKey, kv pmem.KV) {
 // yet (the migrator will then skip the old slot, whose word 0 no longer
 // matches its scan, or dedupe against this copy through the assist
 // counter's gate). Reports false when the sibling cannot absorb an insert.
-func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
+func (t *Table) assistConvert(sh *segHandle, pk *probeKey, kv pmem.KV) bool {
 	t.splitAssists.Add(1) // before touching the sibling, like assistInsert
 	p := t.pool
-	sibMir := t.mirror(sib)
+	sib, sibMir := sh.addr, sh.mir.Load()
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
@@ -1477,10 +1464,8 @@ func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
 		p.StoreU64(ra.Add(8), kv.Value)
 		p.StoreU64(ra, kv.Key)
-		if sibMir != nil {
-			sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-		}
+		sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
+		sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 	} else {
 		ok = segInsertLocked(p, sibMir, sib, parts, kv, true, false, t.seed)
 	}
@@ -1495,12 +1480,13 @@ func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 // segments claim their canonical entry ranges first. This completes a
 // partially published split (the new segment was fully durable before the
 // first entry flip) and rolls an unpublished one back to a harmless leak.
-// The reconciled image then becomes the DRAM directory cache directly, and
-// each segment's reconciled (depth, pattern) and split-marker state go to
-// its first-touch gate. Everything per bucket — held version locks, the
-// split-marker clear, record drops, count derivation, mirror installs — and
-// the record-log sweep are deferred: recoverLazy builds the lazyRecovery
-// side table and returns. After a clean shutdown the claim and metadata
+// The reconciled image then becomes the DRAM directory cache directly: each
+// segment gets a handle carrying its reconciled (depth, pattern) claim and
+// split-marker state, and no mirror. Everything per bucket — held version
+// locks, the split-marker clear, record drops, count derivation, mirror
+// fills — and the record-log sweep are deferred to first touch and the
+// background pass: recoverLazy builds the lazyRecovery side table and
+// returns. After a clean shutdown the claim and metadata
 // passes are cheap no-ops, run anyway for their validation, and the count
 // comes straight from the root.
 func (t *Table) recoverLazy(clean bool) error {
@@ -1584,33 +1570,33 @@ func (t *Table) recoverLazy(clean bool) error {
 		}
 	}
 	lr := &lazyRecovery{
-		clean:   clean,
-		g:       g,
-		fixed:   fixed,
-		openAt:  rstart,
-		pending: make(map[pmem.Addr]*segRecoverState, len(segs)),
-		order:   make([]pmem.Addr, 0, len(segs)),
-		refs:    make(map[pmem.Addr]struct{}),
+		clean:  clean,
+		openAt: rstart,
+		order:  make([]*segHandle, 0, len(segs)),
+		refs:   make(map[pmem.Addr]struct{}),
 	}
-	view := make([]uint64, n)
+	view := make([]*segHandle, n)
 	for _, s := range segs {
 		first, count := uint64(0), uint64(0)
 		if c := covers[s.addr]; c != nil {
 			first, count = c.first, c.count
 		}
-		if count == 0 || count&(count-1) != 0 {
-			return fmt.Errorf("core: recovery: segment %#x covers %d entries", s.addr, count)
+		// An aligned power-of-two range is exactly what a (depth, pattern)
+		// claim covers, which lets first touch test misroutes by claim.
+		if count == 0 || count&(count-1) != 0 || first&(count-1) != 0 {
+			return fmt.Errorf("core: recovery: segment %#x covers %d entries from %d", s.addr, count, first)
 		}
 		l := g - uint8(bits.TrailingZeros64(count))
 		pat := first >> (g - l)
 		if l != s.l || pat != s.pat {
-			segSetMeta(p, nil, s.addr, l, pat)
+			segSetMeta(p, s.addr, l, pat)
 		}
+		h := newSegHandle(s.addr, l, pat, nil)
+		h.split = s.split
 		for i := first; i < first+count; i++ {
-			view[i] = packEntry(s.addr, l)
+			view[i] = h
 		}
-		lr.pending[s.addr] = &segRecoverState{l: l, pat: pat, split: s.split}
-		lr.order = append(lr.order, s.addr)
+		lr.order = append(lr.order, h)
 	}
 
 	// Validate the record log's chunk chain and snapshot the sweep frontier
@@ -1636,9 +1622,9 @@ func (t *Table) recoverLazy(clean bool) error {
 // neither a tracking slot nor a positive overflow count points at them, so
 // no lookup can ever see them and the slot would leak forever. It runs
 // inside first touch's exclusive gate right after the segment's one read
-// pass, so its loads are quiet; it marks every stash bucket it changes in
-// touched.
-func (t *Table) sweepStashGhosts(seg pmem.Addr, touched *[totalBuckets]bool) {
+// pass, so its loads are quiet; its deletes write through to the
+// segment's unpublished mirror.
+func (t *Table) sweepStashGhosts(mir *segMirror, seg pmem.Addr) {
 	p := t.pool
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(seg, normalBuckets+j)
@@ -1655,8 +1641,7 @@ func (t *Table) sweepStashGhosts(seg pmem.Addr, touched *[totalBuckets]bool) {
 			if metaOvCount(p.QuietLoadU64(home.Add(bkOffMeta))) > 0 {
 				continue
 			}
-			bucketDeleteLocked(p, nil, sa, normalBuckets+j, slot, true)
-			touched[normalBuckets+j] = true
+			bucketDeleteLocked(p, mir, sa, normalBuckets+j, slot, true)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"dash/internal/obs"
 	"dash/internal/pmem"
 )
 
@@ -210,27 +212,53 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPoolFull: a pool big enough to format but too small to keep growing
+// must surface ErrPoolFull without losing or corrupting anything acked. At
+// 86,528 bytes the last split allocates its sibling (handle and mirror
+// included) and then fails to allocate the doubled directory, so the
+// rollback path runs with a live sibling handle that must never be
+// published.
 func TestPoolFull(t *testing.T) {
-	// A pool big enough to format but too small to keep growing must
-	// surface ErrPoolFull rather than corrupt anything.
-	tbl, err := New(96*1024, Options{InitialDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr error
-	for i := uint64(0); i < 1<<20; i++ {
-		if lastErr = tbl.Insert(i, i); lastErr != nil {
-			break
-		}
-	}
-	if lastErr != ErrPoolFull {
-		t.Fatalf("expected ErrPoolFull, got %v", lastErr)
-	}
-	// Everything inserted before the failure is still readable.
-	for i := uint64(0); ; i++ {
-		if _, ok := tbl.Get(i); !ok {
-			break
-		}
+	for _, c := range []struct {
+		size         uint64
+		wantRollback bool
+	}{{96 * 1024, false}, {86528, true}} {
+		t.Run(fmt.Sprint(c.size), func(t *testing.T) {
+			tbl, err := New(c.size, Options{InitialDepth: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked uint64
+			var lastErr error
+			for ; acked < 1<<20; acked++ {
+				if lastErr = tbl.Insert(acked, acked*3+1); lastErr != nil {
+					break
+				}
+			}
+			if lastErr != ErrPoolFull {
+				t.Fatalf("expected ErrPoolFull, got %v", lastErr)
+			}
+			for i := uint64(0); i < acked; i++ {
+				if v, ok := tbl.Get(i); !ok || v != i*3+1 {
+					t.Fatalf("acked key %d = %d,%v want %d,true", i, v, ok, i*3+1)
+				}
+			}
+			if bad := tbl.mirrorVerifyAll(); bad != 0 {
+				t.Fatalf("mirror diverges from PM in %d buckets", bad)
+			}
+			if st := tbl.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
+				t.Fatalf("SegFilterBytes = %d, want %d segments x %d", st.SegFilterBytes, st.Segments, segMirrorBytes)
+			}
+			if !c.wantRollback {
+				return
+			}
+			for _, e := range tbl.TraceSnapshot() {
+				if e.Type == obs.EvSplitRollback && e.B != 0 {
+					return
+				}
+			}
+			t.Fatal("no split rolled back after allocating its sibling")
+		})
 	}
 }
 
