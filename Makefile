@@ -50,7 +50,8 @@ docs-check: vet
 	if [ -n "$$undoc" ]; then \
 		echo "exported identifiers missing doc comments:"; echo "$$undoc"; exit 1; \
 	fi
-	@stale=$$(for ident in mirrorRebuildAll segSearchOpt bucketSearchOpt packEntry unpackEntry mirrorInstall mirrorDrop segRecoverState disableBackgroundRecovery; do \
+	@stale=$$(for ident in mirrorRebuildAll segSearchOpt bucketSearchOpt packEntry unpackEntry mirrorInstall mirrorDrop segRecoverState disableBackgroundRecovery \
+		assistInsert assistDelete assistUpdate assistConvert splitSibling splitCopyStashSlot segFindW0Locked probeOfRecord recSameIdentity splitStateSibling; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -73,9 +74,11 @@ bench-smoke:
 		-shards 2 -batch 8 -sims svc-balanced \
 		-out $${TMPDIR:-/tmp}/BENCH_smoke.json
 
-# bench-gate is the perf-regression gate: one fixed seeded insert cell under
-# the full cost model, checked against the thresholds committed in
-# bench-gate.json (tail latency, PM traffic per op, load-factor floor).
+# bench-gate is the perf-regression gate: seven fixed seeded cells
+# (u64-insert, var-insert, u64-read, var-read, read-neg, var-insert-restart,
+# svc-balanced), checked against the thresholds committed in bench-gate.json
+# (tail latency, PM traffic per op, load-factor floor, restart cost, service
+# fence amortization).
 # Fails the build when a tracked metric regresses past them; update the
 # thresholds in the same PR as an intentional perf change. The always-on
 # observability layer (registry counters + flight recorder) runs inside the

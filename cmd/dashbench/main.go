@@ -101,8 +101,8 @@ type cellJSON struct {
 	LogFreeBytes  uint64 `json:"log_free_bytes"`
 
 	// Split telemetry over the measured phase: completed splits, cumulative
-	// publish stall (the stop-the-world exposure), writer assists into
-	// in-flight siblings, and inserts lost to pathological overflow.
+	// publish stall (the stop-the-world exposure), writer waits on keys an
+	// in-flight split is moving, and inserts lost to pathological overflow.
 	Splits          uint64 `json:"splits"`
 	SplitStallNS    int64  `json:"split_stall_ns"`
 	SplitAssists    uint64 `json:"split_assists"`

@@ -302,17 +302,14 @@ func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp u
 // bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
 // stash: trackedSlot names the tracking slot when the record was tracked,
 // or -1 when it was only counted.
-// persist=false is for unpublished split siblings (see bucketInsertLocked).
-func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int, persist bool) {
+func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int) {
 	m := p.QuietLoadU64(b.Add(bkOffMeta))
 	nm := metaAddOvCount(m, -1)
 	if trackedSlot >= 0 {
 		nm = metaClearOvFP(m, trackedSlot)
 	}
 	p.QuietStoreU64(b.Add(bkOffMeta), nm)
-	if persist {
-		p.Persist(b.Add(bkOffMeta), 8)
-	}
+	p.Persist(b.Add(bkOffMeta), 8)
 	mir.word(bi, mirBkMeta).Store(nm)
 }
 

@@ -22,11 +22,11 @@
 //	               and one pointer per entry to its segment's handle, the
 //	               one DRAM object per segment (address, (local depth,
 //	               pattern) claim, filter mirror, first-touch recovery
-//	               gate, in-flight split sibling). Consulted first by every
-//	               operation, kept fresh by write-through from splits and
-//	               doublings, validated against PM before any miss is
-//	               trusted, and built on Open from the directory image the
-//	               restart reconcile already read.
+//	               gate). Consulted first by every operation, kept fresh by
+//	               write-through from splits and doublings, validated
+//	               against PM before any miss is trusted, and built on Open
+//	               from the directory image the restart reconcile already
+//	               read.
 //	segfilter.go — the same selective-persistence pattern one layer down:
 //	               the handle's DRAM mirror of its segment (bucket bitmaps,
 //	               fingerprints and record words under a shadow seqlock)

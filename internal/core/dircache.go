@@ -85,11 +85,6 @@ type segHandle struct {
 	mir        atomic.Pointer[segMirror]
 	recovering atomic.Bool
 	split      bool
-
-	// sib is the handle of the sibling of this segment's in-flight split,
-	// set before the split marker is persisted and cleared when the split
-	// publishes or rolls back.
-	sib atomic.Pointer[segHandle]
 }
 
 func newSegHandle(addr pmem.Addr, depth uint8, pattern uint64, mir *segMirror) *segHandle {

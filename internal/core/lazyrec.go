@@ -150,7 +150,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, h *segHandle) *segMirror {
 				home := int(d.parts.BucketIndex(bucketBits))
 				loc.tracked = findTrackedSlot(p, segBucket(seg, home), d.parts.FP, d.bucket-normalBuckets)
 			}
-			segDeleteAt(p, mir, seg, d.parts, loc, false, true)
+			segDeleteAt(p, mir, seg, d.parts, loc, false)
 		}
 		segScanPool.Put(sc)
 		t.sweepStashGhosts(mir, seg)

@@ -76,9 +76,9 @@ func (t *Table) initObs() {
 	reg.Gauge("read.path.heal", func() int64 { return int64(t.filters.heals.Total()) })
 	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
 
-	// Splits: lifecycle counters stay on the Table (splitAssists is
-	// load-bearing for the migrator's duplicate gate), exposed as gauges;
-	// the phase durations are histograms.
+	// Splits: lifecycle counters stay on the Table, exposed as gauges
+	// (split.assists counts writer waits on a moving key; see
+	// TableStats.SplitAssists); the phase durations are histograms.
 	reg.Gauge("split.completed", func() int64 { return int64(t.splits.Load()) })
 	reg.Gauge("split.stall_ns", func() int64 { return t.splitStallNS.Load() })
 	reg.Gauge("split.assists", func() int64 { return int64(t.splitAssists.Load()) })

@@ -43,8 +43,9 @@ import (
 //     the publish sweep, and the split metadata bump), all inside the
 //     bucket's PM lock with the shadow version odd;
 //   - a split's sibling handle is built, with its mirror, before the split
-//     marker is persisted, i.e. before any migrator or assisting writer can
-//     touch the sibling, so the sibling's mirror is complete the moment the
+//     marker is persisted, and the migration pass is the only writer of the
+//     sibling (writers of moving keys wait for the split), so its copies
+//     write through and the sibling's mirror is complete the moment the
 //     publish makes the handle reachable; a rollback never publishes it;
 //   - lock-free readers validate against the shadow seqlock: a scan is
 //     trusted only if the bucket's shadow version was even and unchanged

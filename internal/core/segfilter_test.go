@@ -250,11 +250,11 @@ func TestMirrorRebuildAfterCrash(t *testing.T) {
 }
 
 // TestMirrorDuringSplitMigration pauses the first split mid-migration (the
-// PR 4 assist-test pattern) and probes every acknowledged key through the
-// mirror path while half the old segment is copied and the sibling is
-// unpublished: the sibling's mirror is installed before the split marker, so
-// reads must stay exact throughout. After release, the published mirrors
-// must match PM.
+// same hook pattern as TestReaderDuringSplitMigration) and probes every
+// acknowledged key through the mirror path while half the old segment is
+// copied and the sibling is unpublished: the sibling's mirror is installed
+// before the split marker, so reads must stay exact throughout. After
+// release, the published mirrors must match PM.
 func TestMirrorDuringSplitMigration(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 

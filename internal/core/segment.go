@@ -48,12 +48,6 @@ func segSplitState(p *pmem.Pool, seg pmem.Addr) uint64 {
 	return p.QuietLoadU64(seg.Add(segOffSplit))
 }
 
-// splitStateSibling extracts the sibling address from a split-state word
-// (null while the split is claimed but the sibling not yet allocated).
-func splitStateSibling(st uint64) pmem.Addr {
-	return pmem.Addr(st &^ uint64(allocAlign-1))
-}
-
 func segBucket(seg pmem.Addr, i int) pmem.Addr {
 	return seg.Add(uint64(segHeaderSize + i*bucketSize))
 }
@@ -184,36 +178,6 @@ func segFindLocked(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (
 	return recLoc{}, false
 }
 
-// segFindW0Locked locates the record whose word 0 equals w0 exactly — the
-// physical-identity lookup the representation-conversion rollback needs to
-// pick the *new* of two same-key records apart (word 0 is unique per
-// record: an inline key exists at most once and a blob address is never
-// shared between live records of one segment). Caller holds the home
-// pair's locks; parts are the record's hash parts.
-func segFindW0Locked(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts, w0 uint64) (recLoc, bool) {
-	b := int(parts.BucketIndex(bucketBits))
-	candidates := make([]int, 0, 2+stashBuckets)
-	candidates = append(candidates, b, (b+1)%normalBuckets)
-	for j := 0; j < stashBuckets; j++ {
-		candidates = append(candidates, normalBuckets+j)
-	}
-	for ci, bi := range candidates {
-		ba := segBucket(seg, bi)
-		m := p.QuietLoadU64(ba.Add(bkOffMeta))
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) || p.QuietLoadU64(recordAddr(ba, slot)) != w0 {
-				continue
-			}
-			loc := recLoc{bucket: bi, slot: slot, tracked: -1}
-			if ci >= 2 {
-				loc.tracked = findTrackedSlot(p, segBucket(seg, b), parts.FP, bi-normalBuckets)
-			}
-			return loc, true
-		}
-	}
-	return recLoc{}, false
-}
-
 // segInsertLocked places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
 // one bucket over, then the stash. Returns false when the segment needs to
@@ -242,19 +206,20 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// bucket b3. The moved key stays within its candidate pair, so readers
 	// still find it; the copy-then-delete order means a crash can at worst
 	// duplicate it, which recovery deduplicates. Disabled while a split of
-	// this segment is in flight: a displacement could hop a record over the
-	// migration front (out of a not-yet-copied bucket into an already-copied
-	// one), and unlike a plain insert there is no assisting writer mirroring
-	// the victim into the sibling.
+	// this segment is in flight: the victim may be a record the split is
+	// moving — writers of moving keys wait for the split, but this writer's
+	// own key may be staying — and a displacement could hop it over the
+	// migration front (out of a not-yet-scanned bucket into an
+	// already-scanned one), where the migrator would never copy it.
 	b3 := (b2 + 1) % normalBuckets
 	b3a := segBucket(seg, b3)
 	if !concurrent || tryLockBucket(p, mir, b3a, b3) {
 		// The split-marker check must follow the b3 lock acquisition: the
-		// migrator copies a bucket only under that bucket's lock and only
-		// after storing the marker, so reading no marker through the locks
-		// we hold (b, b2, b3) proves none of the three buckets has been
-		// migrated yet — the displacement stays on the unmigrated side of
-		// the front, where the migrator will still find its result.
+		// migrator scans a bucket only after storing the marker, and waits
+		// out a held lock, so reading no marker through the locks we hold
+		// (b, b2, b3) proves it has scanned none of the three buckets yet —
+		// the displacement stays on the unscanned side of the front, where
+		// the migrator will still find its result.
 		if segSplitState(p, seg)&splitStateInFlight == 0 && bucketFreeSlots(p, b3a) > 0 {
 			m := p.QuietLoadU64(b2a.Add(bkOffMeta)) // b2's header line paid by its lock
 			for slot := 0; slot < slotsPerBucket; slot++ {
@@ -302,23 +267,22 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 
 // segDeleteAt removes the record at loc, fixing the home bucket's overflow
 // metadata when the record lived in the stash. Caller holds the home pair's
-// locks (or owns the whole segment). persist=false defers durability
-// (unpublished split siblings; see bucketInsertLocked).
-func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent, persist bool) {
+// locks (or owns the whole segment).
+func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
 	sa := segBucket(seg, loc.bucket)
 	if !loc.inStash() {
-		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, persist)
+		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 		return
 	}
 	if concurrent {
 		lockBucket(p, mir, sa, loc.bucket)
 	}
-	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, persist)
+	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 	if concurrent {
 		unlockBucket(p, mir, sa, loc.bucket)
 	}
 	hb := int(parts.BucketIndex(bucketBits))
-	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked, persist)
+	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked)
 }
 
 // segSweepBatched removes every record for which drop returns true with one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,23 +160,25 @@ func TestReaderDuringSplitMigration(t *testing.T) {
 }
 
 // TestWritersDuringSplitMigration pauses the first split mid-migration and
-// drives concurrent inserts, deletes and updates against the splitting
-// segment from other goroutines — the writer-assist path: sibling-claimed
-// mutations must be mirrored into the unpublished sibling (and duplicates
-// deduped by the migrator) or records would be lost, resurrected or stale
-// once the split publishes.
+// mutates acknowledged keys from two goroutines. Keys the paused split is
+// moving (routed to the splitting segment with the split depth's bit set)
+// must wait: none of their mutations may finish before the split is
+// released. Every other key, including the splitting segment's staying
+// half, must be mutable while the split stays paused. Afterwards every
+// value and the count must be exact — a moving-key write that slipped past
+// the migration scan would be lost when the split publishes.
 func TestWritersDuringSplitMigration(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 
-	paused := make(chan struct{})
+	paused := make(chan pmem.Addr, 1)
 	release := make(chan struct{})
 	var once sync.Once
-	tbl.hookMidMigrate = func(_ pmem.Addr, bucket int) {
+	tbl.hookMidMigrate = func(seg pmem.Addr, bucket int) {
 		if bucket != normalBuckets/2 {
 			return
 		}
 		once.Do(func() {
-			close(paused)
+			paused <- seg
 			select {
 			case <-release:
 			case <-time.After(splitTestTimeout):
@@ -184,81 +187,158 @@ func TestWritersDuringSplitMigration(t *testing.T) {
 		})
 	}
 
-	state := make(map[uint64]uint64) // expected value; deleted keys removed
-	writersDone := make(chan struct{})
-	go func() {
-		defer close(writersDone)
-		<-paused
-		// The splitting inserter is parked, so state is ours alone here.
-		// Mutate existing keys on both sides of the migration front: delete
-		// every 5th, update every 7th, delete+reinsert every 11th. A
-		// reinsert always finds the slot its delete just freed in the
-		// key's bucket pair, so none of these operations can trigger (and
-		// then wait on) the paused split — while sibling-claimed keys
-		// exercise assistDelete/assistUpdate/assistInsert, including the
-		// migrator's duplicate probe when it later reaches a reinserted
-		// record's bucket.
-		var keys []uint64
-		for k := range state {
-			keys = append(keys, k)
+	// mutate applies the test's mix to one key and returns its expected
+	// value afterwards (ok=false: deleted). Every 5th key is deleted, every
+	// 7th updated in place, every 11th deleted and reinserted (the
+	// reinsert finds the slot its delete freed, so it cannot need a
+	// split); with convert, every 13th is updated to a 16-byte value, an
+	// inline → indirect conversion.
+	mutate := func(k uint64, convert bool) (want uint64, ok, touched bool) {
+		switch {
+		case k%5 == 0:
+			if !tbl.Delete(k) {
+				t.Errorf("delete %d reported missing", k)
+			}
+			return 0, false, true
+		case k%7 == 0:
+			if ok, err := tbl.Update(k, k+1000000); !ok || err != nil {
+				t.Errorf("update %d: %v,%v", k, ok, err)
+			}
+			return k + 1000000, true, true
+		case k%11 == 0:
+			if !tbl.Delete(k) {
+				t.Errorf("delete %d reported missing", k)
+			}
+			if err := tbl.Insert(k, k+2000000); err != nil {
+				t.Errorf("reinsert %d: %v", k, err)
+			}
+			return k + 2000000, true, true
+		case convert && k%13 == 0:
+			if ok, err := tbl.UpdateB(le64(k), convValue(k)); !ok || err != nil {
+				t.Errorf("converting update %d: %v,%v", k, ok, err)
+			}
+			return k + 3000000, true, true
 		}
-		for _, k := range keys {
-			switch {
-			case k%5 == 0:
-				if !tbl.Delete(k) {
-					t.Errorf("mid-split delete %d reported missing", k)
-				}
-				delete(state, k)
-			case k%7 == 0:
-				if ok, err := tbl.Update(k, k+1000000); !ok || err != nil {
-					t.Errorf("mid-split update %d reported missing", k)
-				}
-				state[k] = k + 1000000
-			case k%11 == 0:
-				if !tbl.Delete(k) {
-					t.Errorf("mid-split delete %d reported missing", k)
-				}
-				if err := tbl.Insert(k, k+2000000); err != nil {
-					t.Errorf("mid-split reinsert %d: %v", k, err)
-				}
-				state[k] = k + 2000000
+		return 0, false, false
+	}
+
+	type outcome struct {
+		want uint64
+		ok   bool
+	}
+	var (
+		moving, staying       []uint64
+		movingRes, stayingRes = make(map[uint64]outcome), make(map[uint64]outcome)
+		movingOps             atomic.Int64
+		stayingDone           = make(chan struct{})
+		movingDone            = make(chan struct{})
+		coordDone             = make(chan struct{})
+	)
+	state := make(map[uint64]uint64) // expected value; deleted keys removed
+	go func() {
+		defer close(coordDone)
+		seg := <-paused
+		// The splitting inserter is parked in the hook, so state is frozen;
+		// the channel receive orders these reads after its last write.
+		for k := range state {
+			parts := tbl.parts(k)
+			h := tbl.cache.route(parts)
+			if l, _ := h.loadClaim(); h.addr == seg && parts.DepthBit(l) {
+				moving = append(moving, k)
+			} else {
+				staying = append(staying, k)
 			}
 		}
+		if len(moving) == 0 || len(staying) == 0 {
+			t.Errorf("no keys to mutate: %d moving, %d staying", len(moving), len(staying))
+		}
+		go func() {
+			defer close(stayingDone)
+			for _, k := range staying {
+				if want, ok, touched := mutate(k, false); touched {
+					stayingRes[k] = outcome{want, ok}
+				}
+			}
+		}()
+		go func() {
+			defer close(movingDone)
+			for _, k := range moving {
+				if want, ok, touched := mutate(k, true); touched {
+					movingRes[k] = outcome{want, ok}
+					movingOps.Add(1)
+				}
+			}
+		}()
+		select {
+		case <-stayingDone:
+		case <-time.After(splitTestTimeout):
+			t.Error("staying-key writers blocked behind the paused split")
+		}
+		// Give the moving writers time to get (wrongly) through.
+		time.Sleep(20 * time.Millisecond)
+		if n := movingOps.Load(); n != 0 {
+			t.Errorf("%d moving-key mutations finished while the split was paused", n)
+		}
 		close(release)
+		select {
+		case <-movingDone:
+		case <-time.After(splitTestTimeout):
+			t.Error("moving-key writers did not finish after the release")
+		}
 	}()
 
 	for k := uint64(0); k < 3*slotsPerSegment; k++ {
 		if err := tbl.Insert(k, k*3+1); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
 		}
-		if _, dup := state[k]; dup {
-			t.Fatalf("key %d generated twice", k)
-		}
-		// Only record keys inserted before the pause is possible to matter;
-		// the map is shared but the writer goroutine touches it only while
-		// this loop's inserter is parked inside the split hook.
+		// Only the coordinator reads state, and only while this loop is
+		// parked inside the split hook.
 		state[k] = k*3 + 1
 	}
 	select {
-	case <-writersDone:
-	case <-time.After(splitTestTimeout):
+	case <-coordDone:
+	case <-time.After(2 * splitTestTimeout):
 		t.Fatal("mid-split writers did not finish")
 	}
 
+	for _, res := range []map[uint64]outcome{stayingRes, movingRes} {
+		for k, o := range res {
+			if o.ok {
+				state[k] = o.want
+			} else {
+				delete(state, k)
+			}
+		}
+	}
 	for k, want := range state {
 		if v, ok := tbl.Get(k); !ok || v != want {
 			t.Fatalf("key %d = %d,%v want %d", k, v, ok, want)
+		}
+		if want == k+3000000 {
+			if got, _ := tbl.GetB(le64(k)); string(got) != string(convValue(k)) {
+				t.Fatalf("converted key %d = %x, want %x", k, got, convValue(k))
+			}
 		}
 	}
 	if got, want := tbl.Count(), int64(len(state)); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
-	// The fixed seed makes the key→segment mapping deterministic: a quarter
-	// of the mid-split mutations hit the splitting segment's sibling-claimed
-	// half, so assists must have been exercised.
 	if a := tbl.Stats().SplitAssists; a == 0 {
-		t.Fatal("mid-split writers never exercised the assist path")
+		t.Fatal("no moving-key writer waited on the paused split")
 	}
+}
+
+// le64 is the 8-byte little-endian key of k, the []byte view of a uint64 key.
+func le64(k uint64) []byte {
+	b := make([]byte, 8)
+	binary.LittleEndian.PutUint64(b, k)
+	return b
+}
+
+// convValue is the 16-byte value TestWritersDuringSplitMigration's
+// conversions store: its first 8 bytes read back through Get as k+3000000.
+func convValue(k uint64) []byte {
+	return append(le64(k+3000000), 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE)
 }
 
 // --- crash injection at the new publish points ---

@@ -89,9 +89,10 @@ type TableStats struct {
 	// bucket lock of their segment (including any directory doubling): the
 	// table-freeze exposure that remains now that migration is incremental.
 	SplitStallNS int64
-	// SplitAssists counts writer operations mirrored into an in-flight
-	// split's unpublished sibling (the writer-side cost of not freezing the
-	// segment during migration).
+	// SplitAssists counts the times a writer found its key moving under an
+	// in-flight split of its segment and waited for the split to publish
+	// (the writer-side cost of freezing the moving half during migration).
+	// The name predates the wait; it is kept for existing consumers.
 	SplitAssists uint64
 
 	// Epoch reclamation accounting: objects handed to Retire, objects

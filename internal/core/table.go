@@ -37,21 +37,24 @@ import (
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
 //     CAS on the segment header's split-state word (which doubles as the
 //     persistent split-progress marker), so splits of distinct segments
-//     proceed in parallel. The owner copies records into the unpublished
-//     sibling one bucket at a time under that bucket's version lock;
-//     readers and writers on the other buckets proceed normally. Writers
-//     that mutate the splitting segment mirror ("assist") any operation on
-//     a key the sibling claims into the sibling too, so the migration front
-//     needs no writer-side coordination beyond the marker check. The only
-//     stop-the-world moment is the short publish step: all bucket locks are
-//     taken, the fully-built sibling is persisted with one flush+fence, the
-//     directory entries flip, the old segment's metadata bumps, moved
-//     records are swept with one persist per bucket, and the directory
-//     cache is written through — then everything unlocks.
+//     proceed in parallel. While a split is in flight, a writer whose key
+//     the split is moving (the key's depth bit sends it to the sibling)
+//     finds the marker under its bucket locks, unlocks, waits for the split
+//     word to clear and retries (§4.5); writers of staying keys and all
+//     readers proceed normally. So the moving half is frozen from the
+//     split claim on, and only the owner ever touches the unpublished sibling:
+//     migration is one lock-free pass that snapshots each bucket under its
+//     seqlock and copies its moving records. The only stop-the-world moment
+//     is the short publish step: all bucket locks are taken, the
+//     fully-built sibling is persisted with one flush+fence, the directory
+//     entries flip, the old segment's metadata bumps, moved records are
+//     swept with one persist per bucket, and the directory cache is written
+//     through — then everything unlocks.
 //   - Directory doubling (and the entry flips of a publish) serialize on the
-//     narrow dirMu; nothing else does. Lock order is: old-segment bucket
-//     locks → sibling bucket locks → dirMu, each level acquired in
-//     ascending index order (pairs sorted, displacement via trylock).
+//     narrow dirMu; nothing else does. Lock order is: bucket locks → dirMu,
+//     buckets acquired in ascending index order (pairs sorted,
+//     displacement via trylock). No goroutine waits for a split while it
+//     holds a lock.
 
 // Root block layout, at the first usable cacheline of the pool.
 const (
@@ -184,9 +187,8 @@ type Table struct {
 	// splits counts completed segment splits; splitStallNS accumulates the
 	// wall time their exclusive publish windows (all bucket locks held,
 	// including any directory doubling) stalled the segment; splitAssists
-	// counts writer operations mirrored into an in-flight split's sibling.
-	// The migrator probes the sibling for duplicates only when assists
-	// happened, so the counter is also load-bearing (see splitMigrate).
+	// counts the writer waits for an in-flight split moving the writer's
+	// key (the name predates the wait protocol; see lockRoute).
 	splits       atomic.Uint64
 	splitStallNS atomic.Int64
 	splitAssists atomic.Uint64
@@ -201,7 +203,7 @@ type Table struct {
 	// Test hooks fired inside split; used by crash-consistency tests to
 	// simulate power loss at the protocol's interesting points.
 	hookAfterMarker     func()                          // split marker persisted, no records migrated
-	hookMidMigrate      func(seg pmem.Addr, bucket int) // after each migrated bucket, outside its lock
+	hookMidMigrate      func(seg pmem.Addr, bucket int) // after each bucket is scanned and its moving records copied
 	hookAfterSegPersist func()                          // sibling fully persisted, nothing published
 	hookMidPublish      func()                          // first directory entry of a multi-entry flip persisted
 	hookAfterPublish    func()                          // all entries flipped, old-segment meta/sweep pending
@@ -490,14 +492,9 @@ func (t *Table) InsertB(key, value []byte) error {
 
 // insertIndirect writes the blob (with the crash hooks between its persist,
 // commit and publication) and inserts the packed record. The blob is
-// allocated before any lock is taken and survives split retries; it is
-// returned to the log on any failure. On most failures (duplicate key,
-// pool exhaustion) the record was never published, no reader can hold the
-// blob, and the free is immediate — but the ErrSegmentOverflow rollback
-// deleted a record that WAS transiently published (a stash placement
-// releases the stash-bucket lock before the rollback, and readers reach
-// the stash through preexisting overflow metadata), so that path must
-// epoch-retire the blob like any other reader-reachable free.
+// allocated before any lock is taken and survives split retries. No failure
+// of insertKV ever published the record, so no reader can hold the blob and
+// it returns to the log immediately.
 func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	blob, err := t.vlog.Append(key, value)
 	if err != nil {
@@ -512,11 +509,7 @@ func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	}
 	kv := pmem.KV{Key: recPack(blob, len(key)), Value: pk.parts.Hash}
 	if err := t.insertKV(pk, kv); err != nil {
-		if errors.Is(err, ErrSegmentOverflow) {
-			t.retireBlob(blob)
-		} else {
-			t.vlog.Free(blob)
-		}
+		t.vlog.Free(blob)
 		return err
 	}
 	return nil
@@ -532,14 +525,16 @@ func (t *Table) mapLogErr(err error) error {
 	return err
 }
 
-// insertKV is the shared insert protocol: route, lock, validate, duplicate
-// check by canonical key, representation-blind slot insert, split-assist
-// mirror, or split-and-retry.
-func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
+// lockRoute takes the key's bucket-pair locks (b, b2) in the segment that
+// owns the key and returns that segment's handle and mirror. It routes
+// through the DRAM directory cache, validates the route against PM under
+// the locks (a stale route repairs the cache and retries), and waits out an
+// in-flight split that is moving the key to its sibling: the split word
+// shares the header line validateRoute just charged, and the handle's
+// claim, stable under the locks, names the depth being split. The caller
+// unlocks with unlockPair.
+func (t *Table) lockRoute(parts hashfn.Parts, b, b2 int) (*segHandle, *segMirror) {
 	p := t.pool
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
 	for {
 		h := t.cache.route(parts)
 		mir, seg := t.ensureRecovered(h), h.addr
@@ -551,26 +546,45 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			continue
 		}
 		t.cache.hits.Inc()
+		if l, _ := h.loadClaim(); segSplitState(p, seg)&splitStateInFlight != 0 && parts.DepthBit(l) {
+			unlockPair(p, mir, seg, b, b2)
+			t.splitAssists.Add(1)
+			t.waitSplit(seg)
+			continue
+		}
+		return h, mir
+	}
+}
+
+// waitSplit yields until seg's split word clears: the split published or
+// rolled back. The caller holds no lock, so the split can always finish.
+func (t *Table) waitSplit(seg pmem.Addr) {
+	for segSplitState(t.pool, seg)&splitStateInFlight != 0 {
+		runtime.Gosched()
+	}
+}
+
+// insertKV is the shared insert protocol: lock the routed pair, duplicate
+// check by canonical key, representation-blind slot insert, or
+// split-and-retry.
+func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
+	p := t.pool
+	parts := pk.parts
+	b := int(parts.BucketIndex(bucketBits))
+	b2 := (b + 1) % normalBuckets
+	for {
+		h, mir := t.lockRoute(parts, b, b2)
+		seg := h.addr
 		if _, found := segFindLocked(p, t.vlog, seg, pk); found {
 			unlockPair(p, mir, seg, b, b2)
 			return ErrKeyExists
 		}
-		if segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
-			if sib := t.splitSibling(h, parts); sib != nil && !t.assistInsert(sib, pk, kv) {
-				// The in-flight split's sibling cannot absorb the key's
-				// copy: the split is overflowing pathologically. Undo and
-				// surface it, matching what the migrator will report.
-				if loc, found := segFindLocked(p, t.vlog, seg, pk); found {
-					segDeleteAt(p, mir, seg, parts, loc, true, true)
-				}
-				unlockPair(p, mir, seg, b, b2)
-				return ErrSegmentOverflow
-			}
-			unlockPair(p, mir, seg, b, b2)
+		ok := segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed)
+		unlockPair(p, mir, seg, b, b2)
+		if ok {
 			t.count.Add(1)
 			return nil
 		}
-		unlockPair(p, mir, seg, b, b2)
 		if err := t.split(parts, h); err != nil {
 			return err
 		}
@@ -705,32 +719,19 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
-	for {
-		h := t.cache.route(parts)
-		mir, seg := t.ensureRecovered(h), h.addr
-		lockPair(p, mir, seg, b, b2)
-		if !t.validateRoute(parts, seg) {
-			unlockPair(p, mir, seg, b, b2)
-			t.cache.misses.Inc()
-			t.cacheRepair(parts)
-			continue
+	h, mir := t.lockRoute(parts, b, b2)
+	seg := h.addr
+	loc, found := segFindLocked(p, t.vlog, seg, pk)
+	if found {
+		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
+		segDeleteAt(p, mir, seg, parts, loc, true)
+		if recIsIndirect(w0) {
+			t.retireBlob(recBlobAddr(w0))
 		}
-		t.cache.hits.Inc()
-		loc, found := segFindLocked(p, t.vlog, seg, pk)
-		if found {
-			w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
-			segDeleteAt(p, mir, seg, parts, loc, true, true)
-			if sib := t.splitSibling(h, parts); sib != nil {
-				t.assistDelete(sib, pk)
-			}
-			if recIsIndirect(w0) {
-				t.retireBlob(recBlobAddr(w0))
-			}
-			t.count.Add(-1)
-		}
-		unlockPair(p, mir, seg, b, b2)
-		return found
+		t.count.Add(-1)
 	}
+	unlockPair(p, mir, seg, b, b2)
+	return found
 }
 
 // retireBlob frees a blob once no in-flight reader can still dereference
@@ -745,8 +746,8 @@ func (t *Table) retireBlob(blob pmem.Addr) {
 // the key was present; a non-nil error means the key exists but the update
 // did not happen (value unchanged): records stored through the log update
 // copy-on-write, which can fail with ErrPoolFull, ErrRecordTooLarge is
-// impossible here, and a pathological sibling overflow during an in-flight
-// split surfaces as ErrSegmentOverflow. Inline records update in place
+// impossible here, and a split the update needs can fail with
+// ErrSegmentOverflow. Inline records update in place
 // (one atomic persisted store, no error path). Lock-free readers always
 // observe either the whole old or the whole new value.
 func (t *Table) Update(key, value uint64) (bool, error) {
@@ -787,23 +788,20 @@ func (t *Table) UpdateB(key, value []byte) (bool, error) {
 //     blob. Word 1 (the key's hash) is unchanged, so the flip is a single
 //     word whatever the value length.
 //   - inline record, non-8-byte value → representation conversion: the new
-//     indirect record is inserted alongside the old inline one and the old
-//     slot is deleted after the sibling assist succeeds. A crash in
-//     between leaves both — recovery's canonical-key dedupe keeps exactly
-//     one, which is correct for an unacknowledged update.
+//     indirect record is inserted alongside the old inline one, then the
+//     old slot is deleted. A crash in between leaves both — recovery's
+//     canonical-key dedupe keeps exactly one, which is correct for an
+//     unacknowledged update.
 //
 // The new blob is allocated lazily on first need and reused across split
-// retries; it is freed on any outcome that does not publish it.
+// retries; it is freed on any outcome that does not publish it (no slot
+// ever referenced it, so no reader can hold it).
 func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 	p := t.pool
 	parts := pk.parts
 	b := int(parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
 	blob := pmem.Null
-	// freeBlob is only for outcomes where the blob was never published (no
-	// slot ever referenced it), so no reader can hold it and immediate
-	// reuse is safe; the conversion rollback below, whose record WAS
-	// transiently readable, epoch-retires instead.
 	freeBlob := func() {
 		if !blob.IsNull() {
 			t.vlog.Free(blob)
@@ -811,16 +809,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	}
 	inline8 := vb == nil || len(vb) == 8
 	for {
-		h := t.cache.route(parts)
-		mir, seg := t.ensureRecovered(h), h.addr
-		lockPair(p, mir, seg, b, b2)
-		if !t.validateRoute(parts, seg) {
-			unlockPair(p, mir, seg, b, b2)
-			t.cache.misses.Inc()
-			t.cacheRepair(parts)
-			continue
-		}
-		t.cache.hits.Inc()
+		h, mir := t.lockRoute(parts, b, b2)
+		seg := h.addr
 		loc, found := segFindLocked(p, t.vlog, seg, pk)
 		if !found {
 			unlockPair(p, mir, seg, b, b2)
@@ -842,9 +832,6 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			// PM store's own discipline — readers see the old or the new
 			// word, both linearizable.
 			mir.recWord(loc.bucket, loc.slot, 1).Store(v)
-			if sib := t.splitSibling(h, parts); sib != nil {
-				t.assistUpdate(sib, pk, pmem.KV{Key: w0, Value: v})
-			}
 			unlockPair(p, mir, seg, b, b2)
 			freeBlob()
 			return true, nil
@@ -878,18 +865,15 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			p.StoreU64(ra, kv.Key)
 			p.Persist(ra, 8)
 			mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-			if sib := t.splitSibling(h, parts); sib != nil {
-				t.assistUpdate(sib, pk, kv)
-			}
 			t.retireBlob(recBlobAddr(w0))
 			unlockPair(p, mir, seg, b, b2)
 			return true, nil
 		}
 
 		// Representation conversion (inline → indirect): insert the new
-		// record first, mirror it into any in-flight split's sibling, and
-		// only then delete the old inline slot — at every crash point the
-		// key exists at least once and at most twice (deduped by recovery).
+		// record first and only then delete the old inline slot — at every
+		// crash point the key exists at least once and at most twice
+		// (deduped by recovery).
 		if !segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
 			if err := t.split(parts, h); err != nil {
@@ -898,25 +882,11 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			}
 			continue
 		}
-		if sib := t.splitSibling(h, parts); sib != nil && !t.assistConvert(sib, pk, kv) {
-			// Sibling cannot absorb the converted record: roll the
-			// conversion back (delete the new record, old value intact).
-			// The deleted record was transiently published — a stash
-			// placement is readable the moment segInsertLocked drops the
-			// stash lock — so the blob is epoch-retired, not freed for
-			// immediate reuse.
-			if nloc, ok := segFindW0Locked(p, seg, parts, kv.Key); ok {
-				segDeleteAt(p, mir, seg, parts, nloc, true, true)
-			}
-			unlockPair(p, mir, seg, b, b2)
-			t.retireBlob(blob)
-			return true, ErrSegmentOverflow
-		}
 		// loc still names the old inline slot: the new record's insert may
 		// have displaced records, but never this one (displacement only
 		// moves records homed in the probing neighbor b2; this key's home
 		// is b).
-		segDeleteAt(p, mir, seg, parts, loc, true, true)
+		segDeleteAt(p, mir, seg, parts, loc, true)
 		unlockPair(p, mir, seg, b, b2)
 		return true, nil
 	}
@@ -930,10 +900,11 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 //  1. allocates and initializes the sibling, and persists the split-progress
 //     marker (sibling address | in-flight bit) into oldSeg's header — the
 //     point from which a crash rolls back by clearing the marker;
-//  2. migrates the sibling's half of the records one bucket at a time under
-//     that bucket's version lock (splitMigrate) — readers and writers on
-//     the other 65 buckets proceed, and writers mirror sibling-claimed
-//     mutations into the sibling themselves (assist*);
+//  2. migrates the sibling's half of the records in one lock-free pass
+//     (splitMigrate). From the claim on, writers of moving keys wait for
+//     the split word to clear (lockRoute), so the moving half stays frozen
+//     and the sibling is the owner's alone; readers, and writers of staying
+//     keys, proceed on all 66 buckets;
 //  3. publishes (splitPublish): the only stop-the-world step — under all
 //     bucket locks the sibling is persisted with one flush+fence, the
 //     directory entries flip (doubling first if needed, both under dirMu),
@@ -952,9 +923,7 @@ func (t *Table) split(parts hashfn.Parts, h *segHandle) error {
 	if !p.CompareAndSwapU64(spa, 0, splitStateInFlight) {
 		// Another goroutine owns this segment's split. Wait it out (no
 		// locks held here); the caller revalidates its route and retries.
-		for p.QuietLoadU64(spa)&splitStateInFlight != 0 {
-			runtime.Gosched()
-		}
+		t.waitSplit(oldSeg)
 		return nil
 	}
 	// We own the split. Between the failed insert that brought us here and
@@ -981,113 +950,76 @@ func (t *Table) split(parts hashfn.Parts, h *segHandle) error {
 		return err
 	}
 	segInit(p, newSeg, l+1, pat<<1|1)
-	// The sibling's handle and mirror must exist before the marker
-	// publishes the sibling to assisting writers: from the first assist on,
-	// every sibling mutation writes through, so the mirror is complete at
-	// publish time with no rebuild pass.
+	// The sibling's handle is built with it: migration writes through to
+	// its mirror, so the mirror is complete at publish time with no rebuild
+	// pass, and nothing can reach the handle before the publish.
 	sib := newSegHandle(newSeg, l+1, pat<<1|1, &segMirror{})
-	h.sib.Store(sib)
-
-	// Snapshot the assist counter before the marker becomes visible: any
-	// assist that could race the copy loop bumps it past a0, which is what
-	// tells splitMigrate it must probe for duplicates.
-	a0 := t.splitAssists.Load()
 	p.StoreU64(spa, uint64(newSeg)|splitStateInFlight)
 	p.Persist(spa, 8)
 	if t.hookAfterMarker != nil {
 		t.hookAfterMarker()
 	}
 
+	var sc splitScan
 	mstart := obs.Now()
-	sc, ok := t.splitMigrate(h, sib, l, a0)
+	ok := t.splitMigrate(oldSeg, sib, l, &sc)
 	t.met.splitMigrateNS.Record(obs.Now() - mstart)
-	defer splitScanPool.Put(sc)
 	if !ok {
 		// Pathological one-sided overflow: roll back by clearing the
-		// marker. The sibling is leaked rather than reused — an assisting
-		// writer that read the marker just before the clear may still be
-		// writing into it under its bucket locks (and through a fetched
-		// handle, whose mirror absorbs those stores harmlessly, since the
-		// handle is never published).
+		// marker, which also releases the waiting writers. The sibling is
+		// leaked; its handle was never published.
 		p.StoreU64(spa, 0)
 		p.Persist(spa, 8)
-		h.sib.Store(nil)
 		t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 		return ErrSegmentOverflow
 	}
 	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
-	return t.splitPublish(h, sib, l, pat, sc)
+	return t.splitPublish(h, sib, l, pat, &sc)
 }
 
-// splitMigrate copies every record the sibling claims from oldSeg into the
-// unpublished newSeg, one bucket at a time under that bucket's version lock
-// — the low-stall replacement for freezing all 66 buckets at once. Normal
-// buckets are consistent under their own lock (every mutation of a record
-// in bucket bi holds bi's lock). Stash records are guarded by their *home*
-// bucket's lock instead, so the stash pass locks each record's home pair
-// and re-verifies the slot under it. Copies are not persisted individually:
-// the publish step makes the whole sibling durable with one flush+fence
-// before any directory entry points at it, and a crash before that rolls
-// the sibling back wholesale.
-//
-// a0 is the split-assist counter snapshot from before the marker was
-// published: while the counter still equals a0 no writer can have mirrored
-// an op into any sibling, and the copy loop skips the duplicate probe.
-// Returns false on pathological one-sided overflow.
-// splitScan is what splitMigrate's optimistic source scan learned, reused
-// by the publish to sweep without re-reading records: per normal bucket the
+// splitScan is what splitMigrate's source scan learned, reused by the
+// publish to sweep without re-reading records: per normal bucket the
 // seqlock version the stable scan observed and the bitmap of moved
 // (sibling-claimed) slots. A bucket whose version at publish time differs
 // from ver[bi]+1 (+1 for the publish's own lock) was mutated after the scan
-// and is re-scanned; the rest sweep by bitmap alone.
-//
-// Instances are pooled: a split allocates nothing steady-state, so the
-// resize path adds no GC pressure (on small-core boxes, GC mark assists
-// were showing up as multi-ms latency outliers dwarfing the splits
-// themselves).
+// and is re-scanned; the rest sweep by bitmap alone. It lives on the
+// splitting goroutine's stack, so a split allocates nothing beyond the
+// sibling itself.
 type splitScan struct {
-	ver     [normalBuckets]uint64
-	moved   [normalBuckets]uint64
-	cand    []splitCand
-	grouped []splitCand
-	known   [totalBuckets]uint64
-	kvalid  [totalBuckets]bool
-	keyBuf  []byte // scratch for duplicate probes on indirect records
+	ver    [normalBuckets]uint64
+	moved  [normalBuckets]uint64
+	known  [totalBuckets]uint64
+	kvalid [totalBuckets]bool
 }
 
-var splitScanPool = sync.Pool{New: func() any { return new(splitScan) }}
-
-// splitCand is one sibling-claimed record the scan found: where it lives in
-// the old segment (for the locked re-verify), its word 0 as scanned (the
-// record's physical identity — an inline key or a packed blob address) and
-// its hash parts (read from the record words; the scan never dereferences
-// blobs, which is what keeps split cost independent of record size).
-type splitCand struct {
-	w0   uint64
-	rec  pmem.Addr // record address in the old segment
-	meta pmem.Addr // its bucket's meta word
-	slot int
-	home int
-	rp   hashfn.Parts
-}
-
-func (t *Table) splitMigrate(h, sib *segHandle, l uint8, a0 uint64) (*splitScan, bool) {
+// splitMigrate copies every record the sibling claims from oldSeg into the
+// unpublished sibling in one pass over all 66 buckets, stash included,
+// taking no lock on either segment. Each bucket is snapshotted seqlock-style
+// (stable version across the scan) and its moving records are copied right
+// away. The snapshot cannot go stale: from the split claim on, writers of
+// moving keys wait (lockRoute); a writer that passed that check earlier
+// took its pair locks before the claim, so the scan of the pair waits its
+// mutation out, including any stash spill it makes before unlocking (the
+// stash is scanned last); and displacement, the one way a staying key's
+// writer moves another record, is off while the marker is set
+// (segInsertLocked). Nothing but this pass writes the sibling, so the
+// copies take no sibling locks and are not persisted one by one: the
+// publish makes the whole sibling durable with one flush+fence, and a crash
+// before that rolls the sibling back wholesale. Returns false on
+// pathological one-sided overflow.
+func (t *Table) splitMigrate(oldSeg pmem.Addr, sib *segHandle, l uint8, sc *splitScan) bool {
 	p := t.pool
-	oldSeg, newSeg := h.addr, sib.addr
-	newMir := sib.mir.Load()
-
-	// Phase 1 — optimistic scan, no locks: migration never mutates the old
-	// segment, so each bucket is snapshotted seqlock-style (stable version
-	// across the scan). The whole segment is charged
-	// as one streaming read up front — a sequential sweep of its lines,
-	// exactly what the hardware prefetcher would serve — and the per-word
-	// loads are quiet (one-charge-per-line).
+	newSeg, newMir := sib.addr, sib.mir.Load()
+	// The whole segment is charged as one streaming read up front — a
+	// sequential sweep of its lines, exactly what the hardware prefetcher
+	// would serve — and the per-word loads are quiet (one-charge-per-line).
 	p.TouchRead(oldSeg, segmentSize)
-	sc := splitScanPool.Get().(*splitScan)
-	sc.cand = sc.cand[:0]
-	for bi := 0; bi < normalBuckets; bi++ {
+	var recs [slotsPerBucket]pmem.KV
+	var rps [slotsPerBucket]hashfn.Parts
+	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(oldSeg, bi)
 		va := ba.Add(bkOffVersion)
+		n := 0
 		for {
 			v := p.QuietLoadU64(va)
 			if v&1 != 0 {
@@ -1095,152 +1027,36 @@ func (t *Table) splitMigrate(h, sib *segHandle, l uint8, a0 uint64) (*splitScan,
 				continue
 			}
 			m := p.QuietLoadU64(ba.Add(bkOffMeta))
-			n0 := len(sc.cand)
+			n = 0
 			moved := uint64(0)
 			for slot := 0; slot < slotsPerBucket; slot++ {
 				if !metaSlotUsed(m, slot) {
 					continue
 				}
-				ra := recordAddr(ba, slot)
-				w0 := p.QuietLoadU64(ra)
-				rp := hashfn.Split(recHash(pmem.KV{Key: w0, Value: p.QuietLoadU64(ra.Add(8))}, t.seed))
-				if rp.DepthBit(l) {
+				kv := p.QuietReadKV(recordAddr(ba, slot))
+				if rp := recSplitParts(kv, t.seed); rp.DepthBit(l) {
 					moved |= 1 << uint(slot)
-					sc.cand = append(sc.cand, splitCand{
-						w0: w0, rec: ra, meta: ba.Add(bkOffMeta),
-						slot: slot, home: int(rp.BucketIndex(bucketBits)), rp: rp,
-					})
+					recs[n], rps[n] = kv, rp
+					n++
 				}
 			}
 			if p.QuietLoadU64(va) == v {
-				sc.ver[bi], sc.moved[bi] = v, moved
+				if bi < normalBuckets {
+					sc.ver[bi], sc.moved[bi] = v, moved
+				}
 				break
 			}
-			sc.cand = sc.cand[:n0] // torn snapshot; rescan this bucket
 		}
-	}
-
-	// Phase 2 — copy, grouped by destination home pair, under the sibling's
-	// pair locks only. The protocol needs no old-segment locks: every
-	// sibling-claimed mutation mirrors itself into the sibling under these
-	// same locks (assist*), so re-verifying the source slot while holding
-	// them is race-free — a slot that still carries the key cannot lose it
-	// until we unlock, and one that changed was handled by its writer's
-	// assist. Copies are not persisted individually; the publish makes the
-	// whole sibling durable with one flush+fence.
-	var cnt [normalBuckets + 1]int
-	for _, c := range sc.cand {
-		cnt[c.home+1]++
-	}
-	for h := 1; h <= normalBuckets; h++ {
-		cnt[h] += cnt[h-1]
-	}
-	if cap(sc.grouped) < len(sc.cand) {
-		sc.grouped = make([]splitCand, len(sc.cand))
-	}
-	grouped := sc.grouped[:len(sc.cand)]
-	pos := cnt
-	for _, c := range sc.cand {
-		grouped[pos[c.home]] = c
-		pos[c.home]++
-	}
-	for h := 0; h < normalBuckets; h++ {
-		if cnt[h+1] > cnt[h] {
-			h2 := (h + 1) % normalBuckets
-			lockPair(p, newMir, newSeg, h, h2)
-			for _, c := range grouped[cnt[h]:cnt[h+1]] {
-				// Re-verify under the sibling lock; both loads share lines
-				// the scan already charged. Identity is the scanned word 0
-				// for inline records; for indirect records it is the stored
-				// hash — a copy-on-write update flips word 0 to a new blob
-				// but keeps the hash, and copying the *current* words below
-				// picks up exactly that freshest blob.
-				w0 := p.QuietLoadU64(c.rec)
-				w1 := p.QuietLoadU64(c.rec.Add(8))
-				if !metaSlotUsed(p.QuietLoadU64(c.meta), c.slot) || !recSameIdentity(c.w0, w0, w1, c.rp.Hash) {
-					continue // deleted or replaced; its writer's assist covered the sibling
-				}
-				// Freshest value: an update between scan and copy either
-				// already landed (read here) or will assist after we unlock.
-				kv := pmem.KV{Key: w0, Value: w1}
-				if t.splitAssists.Load() != a0 {
-					var pk probeKey
-					pk, sc.keyBuf = probeOfRecord(t.vlog, kv, c.rp, sc.keyBuf)
-					if _, dup := segFindLocked(p, t.vlog, newSeg, &pk); dup {
-						continue
-					}
-				}
-				if !segInsertLocked(p, newMir, newSeg, c.rp, kv, true, false, t.seed) {
-					unlockPair(p, newMir, newSeg, h, h2)
-					return sc, false
-				}
-			}
-			unlockPair(p, newMir, newSeg, h, h2)
-		}
-		if t.hookMidMigrate != nil {
-			t.hookMidMigrate(oldSeg, h)
-		}
-	}
-
-	// Phase 3 — stash records; these mutate under their home bucket's lock,
-	// so each is copied under its old-segment home pair plus the sibling
-	// pair (this is the one place migration still takes old-segment locks,
-	// bounded by the stash's 28 slots).
-	for j := 0; j < stashBuckets; j++ {
-		sa := segBucket(oldSeg, normalBuckets+j)
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !t.splitCopyStashSlot(h, sib, sa, slot, l, a0) {
-				return sc, false
+		for i := 0; i < n; i++ {
+			if !segInsertLocked(p, newMir, newSeg, rps[i], recs[i], false, false, t.seed) {
+				return false
 			}
 		}
 		if t.hookMidMigrate != nil {
-			t.hookMidMigrate(oldSeg, normalBuckets+j)
+			t.hookMidMigrate(oldSeg, bi)
 		}
 	}
-	return sc, true
-}
-
-// splitCopyStashSlot migrates one stash slot of oldSeg. Stash records
-// mutate only under their home bucket's lock, so the slot's key is read
-// optimistically, its home pair locked, and the slot re-verified under the
-// locks; a slot that changed identity in between is retried with the new
-// key (bounded in practice: slots change only while writers win the race).
-func (t *Table) splitCopyStashSlot(h, sib *segHandle, sa pmem.Addr, slot int, l uint8, a0 uint64) bool {
-	p := t.pool
-	oldSeg, newSeg := h.addr, sib.addr
-	oldMir, newMir := h.mir.Load(), sib.mir.Load()
-	for {
-		m := p.LoadU64(sa.Add(bkOffMeta))
-		if !metaSlotUsed(m, slot) {
-			return true
-		}
-		kv0 := p.ReadKV(recordAddr(sa, slot))
-		rp := recSplitParts(kv0, t.seed)
-		hb := int(rp.BucketIndex(bucketBits))
-		hb2 := (hb + 1) % normalBuckets
-		lockPair(p, oldMir, oldSeg, hb, hb2)
-		m = p.LoadU64(sa.Add(bkOffMeta))
-		kv := p.ReadKV(recordAddr(sa, slot))
-		if !metaSlotUsed(m, slot) || !recSameIdentity(kv0.Key, kv.Key, kv.Value, rp.Hash) {
-			unlockPair(p, oldMir, oldSeg, hb, hb2)
-			continue
-		}
-		ok := true
-		if rp.DepthBit(l) {
-			lockPair(p, newMir, newSeg, hb, hb2)
-			dup := false
-			if t.splitAssists.Load() != a0 {
-				pk, _ := probeOfRecord(t.vlog, kv, rp, nil)
-				_, dup = segFindLocked(p, t.vlog, newSeg, &pk)
-			}
-			if !dup {
-				ok = segInsertLocked(p, newMir, newSeg, rp, kv, true, false, t.seed)
-			}
-			unlockPair(p, newMir, newSeg, hb, hb2)
-		}
-		unlockPair(p, oldMir, oldSeg, hb, hb2)
-		return ok
-	}
+	return true
 }
 
 // splitPublish is the split's only stop-the-world step, and it is short:
@@ -1251,8 +1067,9 @@ func (t *Table) splitCopyStashSlot(h, sib *segHandle, sa pmem.Addr, slot int, l 
 // depth), oldSeg's metadata bumps together with the marker clear in one
 // header persist, the moved records are swept with one persist per touched
 // bucket, and the DRAM directory cache is written through — only then do
-// the locks release. The stall this window causes is accumulated in
-// splitStallNS.
+// the locks release. The marker clear also releases the writers waiting on
+// moving keys; their retry routes to the sibling. The stall this window
+// causes is accumulated in splitStallNS.
 func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitScan) error {
 	p := t.pool
 	oldSeg, newSeg := h.addr, sib.addr
@@ -1270,9 +1087,8 @@ func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitSc
 		t.met.splitPublishStallNS.Record(stall)
 	}()
 
-	// All writers are excluded now (assists run under bucket locks), so the
-	// sibling is finished and this one flush+fence replaces the per-record
-	// persists of the old copy loop.
+	// The migration pass finished the sibling and nothing else writes it;
+	// this one flush+fence makes all of it durable.
 	segPersist(p, newSeg)
 	if t.hookAfterSegPersist != nil {
 		t.hookAfterSegPersist()
@@ -1290,7 +1106,6 @@ func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitSc
 			// failure. The sibling is leaked, its handle never published.
 			p.StoreU64(oldSeg.Add(segOffSplit), 0)
 			p.Persist(oldSeg.Add(segOffSplit), 8)
-			h.sib.Store(nil)
 			t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 			return err
 		}
@@ -1326,7 +1141,6 @@ func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitSc
 	p.StoreU64(oldSeg.Add(segOffSplit), 0)
 	segSetMeta(p, oldSeg, l+1, pat<<1)
 	h.setClaim(l+1, pat<<1)
-	h.sib.Store(nil)
 	// Sweep by the scan's moved-slot bitmaps wherever the bucket's seqlock
 	// version proves it unchanged since the scan (+1 is our own lock);
 	// mutated buckets and the stash are re-scanned.
@@ -1347,130 +1161,6 @@ func (t *Table) splitPublish(h, sib *segHandle, l uint8, pat uint64, sc *splitSc
 	t.cachePublishSplit(sib, estart, span)
 	t.splits.Add(1)
 	return nil
-}
-
-// splitSibling returns the sibling handle of an in-flight split of h's
-// segment when that sibling claims the key's hash, or nil. The PM marker
-// decides; the handle only supplies the sibling's mirror. The caller holds
-// the key's bucket locks in the segment: a split cannot publish (which is
-// what retires the marker) without those locks, so a non-nil sibling stays
-// valid until they are released. A handle that no longer names the
-// marker's sibling means that split rolled back, and nothing needs the
-// assist.
-func (t *Table) splitSibling(h *segHandle, parts hashfn.Parts) *segHandle {
-	st := segSplitState(t.pool, h.addr)
-	if st&splitStateInFlight == 0 {
-		return nil
-	}
-	sib := splitStateSibling(st)
-	if sib.IsNull() || !segClaims(t.pool, sib, parts) {
-		return nil
-	}
-	if s := h.sib.Load(); s != nil && s.addr == sib {
-		return s
-	}
-	return nil
-}
-
-// assistInsert mirrors a fresh insert into the unpublished sibling of an
-// in-flight split, under the sibling's bucket-pair locks (always acquired
-// after the old segment's — the same two-level order the migrator uses).
-// Reports false when the sibling cannot absorb the copy, i.e. the split is
-// overflowing pathologically. Durability is deferred to the publish's
-// whole-segment persist, like every pre-publish sibling write.
-func (t *Table) assistInsert(sh *segHandle, pk *probeKey, kv pmem.KV) bool {
-	// Count before touching the sibling: the migrator reads the counter
-	// under bucket locks ordered after this store, so a nonzero delta is
-	// visible before any duplicate can be.
-	t.splitAssists.Add(1)
-	p := t.pool
-	sib, sibMir := sh.addr, sh.mir.Load()
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	lockPair(p, sibMir, sib, b, b2)
-	// The key is fresh table-wide, but its sibling copy may already exist:
-	// if this insert reused a source slot the migration scan captured under
-	// the same key (delete + reinsert ABA), the migrator's locked re-verify
-	// cannot tell old from new and may have copied it before our counter
-	// bump reached its duplicate gate. Both races resolve through this pair
-	// lock's handoff: whichever of us inserts first, the other's probe sees
-	// it here — so probe before inserting.
-	ok := true
-	if _, dup := segFindLocked(p, t.vlog, sib, pk); !dup {
-		ok = segInsertLocked(p, sibMir, sib, parts, kv, true, false, t.seed)
-	}
-	unlockPair(p, sibMir, sib, b, b2)
-	return ok
-}
-
-// assistDelete mirrors a delete into the sibling of an in-flight split: if
-// the migrator already copied the record, the copy must die too or the key
-// would resurrect when the split publishes.
-func (t *Table) assistDelete(sh *segHandle, pk *probeKey) {
-	p := t.pool
-	sib, sibMir := sh.addr, sh.mir.Load()
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	lockPair(p, sibMir, sib, b, b2)
-	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
-		segDeleteAt(p, sibMir, sib, parts, loc, true, false)
-	}
-	unlockPair(p, sibMir, sib, b, b2)
-}
-
-// assistUpdate mirrors a value update into the sibling of an in-flight
-// split, so an already-migrated copy does not revive the old value at
-// publish: the sibling copy's record words are overwritten with kv (for an
-// inline record that is just the value word; for a copy-on-write update it
-// is the new blob's word 0, word 1 — the hash — being unchanged). A copy
-// the migrator has not made yet needs nothing: the migrator copies the
-// record's *current* words under the home bucket's lock, and its sibling
-// critical section serializes with this one.
-func (t *Table) assistUpdate(sh *segHandle, pk *probeKey, kv pmem.KV) {
-	p := t.pool
-	sib, sibMir := sh.addr, sh.mir.Load()
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	lockPair(p, sibMir, sib, b, b2)
-	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
-		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
-		p.StoreU64(ra.Add(8), kv.Value)
-		p.StoreU64(ra, kv.Key)
-		sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-		sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-	}
-	unlockPair(p, sibMir, sib, b, b2)
-}
-
-// assistConvert mirrors a representation conversion (inline → indirect
-// update) into the sibling: an upsert — overwrite the already-migrated
-// copy, or insert the converted record if the migrator has not reached it
-// yet (the migrator will then skip the old slot, whose word 0 no longer
-// matches its scan, or dedupe against this copy through the assist
-// counter's gate). Reports false when the sibling cannot absorb an insert.
-func (t *Table) assistConvert(sh *segHandle, pk *probeKey, kv pmem.KV) bool {
-	t.splitAssists.Add(1) // before touching the sibling, like assistInsert
-	p := t.pool
-	sib, sibMir := sh.addr, sh.mir.Load()
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	lockPair(p, sibMir, sib, b, b2)
-	ok := true
-	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
-		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
-		p.StoreU64(ra.Add(8), kv.Value)
-		p.StoreU64(ra, kv.Key)
-		sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-		sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-	} else {
-		ok = segInsertLocked(p, sibMir, sib, parts, kv, true, false, t.seed)
-	}
-	unlockPair(p, sibMir, sib, b, b2)
-	return ok
 }
 
 // recoverLazy reconciles the table image with O(directory) work only: one
